@@ -11,6 +11,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -32,8 +33,7 @@ from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius)
 from .attraction import (solve_attraction_steady, attraction_energy,
                          check_smallness, spherical_mean_convolve)
-from .errors import (SolverError, ConfigError, ConvergenceError,
-                     PotentialError)
+from .errors import SolverError, ConfigError, PotentialError
 
 MODES = ("steady", "simulate_radial", "simulate_particles",
          "attract_steady", "rates", "validate")
@@ -153,13 +153,26 @@ def build_density(spec, dim, m0):
 
 # -- config file round trip --------------------------------------------------
 
+def _parse(section, key, raw, cast):
+    """One INI value through cast; bad and non-finite numbers are config errors."""
+    try:
+        value = cast(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid "
+                          f"{cast.__name__}", reason="invalid solver config") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite",
+                          reason="invalid solver config")
+    return value
+
+
 def _rho0_from_section(cp, section):
     if not cp.has_section(section):
         return None
     spec = {"kind": cp.get(section, "kind", fallback="ball")}
     for key in ("value", "radius", "r_in", "r_out", "a", "b"):
         if cp.has_option(section, key):
-            spec[key] = cp.getfloat(section, key)
+            spec[key] = _parse(section, key, cp.get(section, key), float)
     if cp.has_option(section, "path"):
         spec["path"] = cp.get(section, "path")
     return spec
@@ -176,7 +189,7 @@ def config_from_ini(path):
         if cp.has_option(section, key):
             raw = cp.get(section, key).strip()
             if raw != "":
-                setattr(cfg, attr or key, cast(raw))
+                setattr(cfg, attr or key, _parse(section, key, raw, cast))
 
     pull("run", "mode", str)
     pull("run", "out", str)
@@ -401,11 +414,6 @@ def _manifest(out, cfg, config_sha, t0, artifacts):
     versions = {"repelflow": __version__, "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "python": sys.version.split()[0]}
-    try:
-        import numba
-        versions["numba"] = numba.__version__
-    except ImportError:
-        pass
     _write_json(out / "manifest.json",
                 {"mode": cfg.mode, "config_sha256": config_sha,
                  "versions": versions,
@@ -645,14 +653,6 @@ def run(cfg, config_sha=None):
 
 # -- entry point -------------------------------------------------------------
 
-def _set_threads(n):
-    try:
-        import numba
-        numba.set_num_threads(n)
-    except (ImportError, ValueError):
-        pass
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="repelflow",
@@ -666,7 +666,6 @@ def _build_parser():
         p.add_argument("--recipe", type=str, default=None,
                        choices=sorted(RECIPES))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -696,20 +695,13 @@ def _resolve_config(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.threads:
-        _set_threads(args.threads)
     try:
         cfg, sha = _resolve_config(args)
         return run(cfg, config_sha=sha)
     except SolverError as err:
         print(f"error: {err}", file=sys.stderr)
-        print(f"reason: {getattr(err, 'reason', 'unspecified')}",
-              file=sys.stderr)
-        if isinstance(err, ConfigError):
-            return 2
-        if isinstance(err, ConvergenceError):
-            return 4
-        return 3
+        print(f"reason: {err.reason}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -17,19 +17,13 @@ radial code with minimal approximation error, not to scale.
 """
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DivergenceError, ResolutionWarning
-
-try:
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:                                       # pragma: no cover
-    _HAVE_NUMBA = False
 
 __all__ = [
     "ParticleCloud",
@@ -117,123 +111,35 @@ def sample_radial(density, N, rng, rho_ref=None):
     return cloud
 
 
-if _HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _newton_velocity_kernel(pos, w, delta, sigma_d):
-        n, d = pos.shape
-        out = np.zeros((n, d))
-        coincident = 0
-        for i in prange(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                r2 = 0.0
-                for k in range(d):
-                    dz = pos[i, k] - pos[j, k]
-                    r2 += dz * dz
-                r = math.sqrt(r2)
-                if r < 1e-14:
-                    coincident += 1
-                    continue
-                rr = r if r > delta else delta
-                coef = w[j] / (sigma_d * rr ** (d - 1) * r)
-                for k in range(d):
-                    out[i, k] += coef * (pos[i, k] - pos[j, k])
-        return out, coincident
-
-    @njit(parallel=True, cache=True)
-    def _newton_energy_kernel(pos, w, delta, sigma_d, coeff):
-        n, d = pos.shape
-        total = 0.0
-        for i in prange(n):
-            acc = 0.0
-            for j in range(n):
-                if i == j:
-                    continue
-                r2 = 0.0
-                for k in range(d):
-                    dz = pos[i, k] - pos[j, k]
-                    r2 += dz * dz
-                r = math.sqrt(r2)
-                rr = r if r > delta else delta
-                if d == 2:
-                    val = -math.log(rr) / (2.0 * math.pi)
-                else:
-                    val = coeff * rr ** (2 - d)
-                acc += w[j] * val
-            total += w[i] * acc
-        return 0.5 * total
-
-
 def _chunk_size(n):
     return max(16, min(512, (1 << 22) // max(n, 1)))
 
 
-def _newton_velocity_numpy(pos, w, delta, sigma_d):
-    n, d = pos.shape
-    out = np.zeros_like(pos)
+def _pair_sum(pos, coef, rhs):
+    """Row sums sum_j c_ij rhs_j over all pairs, one block of rows at a time.
+
+    coef(r, apart) maps a block of distances r_ij = |x_i - x_j| to the pair
+    coefficients c_ij and must return 0 outside the mask apart, which drops
+    self and coincident pairs (r < 1e-14, no direction).  Returns the sums
+    and the number of coincident ordered pairs.
+    """
+    n = pos.shape[0]
+    out = np.empty((n,) + rhs.shape[1:])
     coincident = 0
     step = _chunk_size(n)
     for a in range(0, n, step):
-        blk = pos[a:a + step]
-        z = blk[:, None, :] - pos[None, :, :]
-        r = np.sqrt(np.sum(z * z, axis=-1))
-        own = r < 1e-14
-        coincident += int(np.sum(own)) - blk.shape[0]
-        rr = np.maximum(r, delta)
-        coef = np.where(own, 0.0, w[None, :] / (sigma_d * rr ** (d - 1)
-                                                * np.maximum(r, 1e-300)))
-        out[a:a + step] = np.einsum("bj,bjk->bk", coef, z)
+        r = cdist(pos[a:a + step], pos)
+        apart = r >= 1e-14
+        coincident += r.size - np.count_nonzero(apart) - r.shape[0]
+        out[a:a + step] = coef(r, apart) @ rhs
     return out, coincident
 
 
-def _newton_energy_numpy(pos, w, delta, sigma_d, coeff):
-    n, d = pos.shape
-    total = 0.0
-    step = _chunk_size(n)
-    for a in range(0, n, step):
-        blk = pos[a:a + step]
-        z = blk[:, None, :] - pos[None, :, :]
-        r = np.sqrt(np.sum(z * z, axis=-1))
-        rr = np.maximum(r, delta)
-        if d == 2:
-            vals = -np.log(rr) / (2.0 * np.pi)
-        else:
-            vals = coeff * rr ** (2 - d)
-        for b in range(blk.shape[0]):
-            vals[b, a + b] = 0.0
-        total += float(w[a:a + step] @ vals @ w)
-    return 0.5 * total
-
-
-def _newton_velocity(cloud):
-    pos, w = cloud.positions, cloud.weights
-    sigma_d = cloud.dim.sphere_area
-    if _HAVE_NUMBA:
-        out, coincident = _newton_velocity_kernel(pos, w, cloud.delta_reg, sigma_d)
-    else:
-        out, coincident = _newton_velocity_numpy(pos, w, cloud.delta_reg, sigma_d)
-    if coincident > 0:
-        warnings.warn(f"{coincident // 2} coincident particle pairs inside the "
-                      "regularization floor", ResolutionWarning)
-    return out
-
-
-def _pairwise_radial_slope(cloud, slope):
-    """-sum_{j != i} w_j slope(r_ij) z_ij / r_ij for a radial pair potential."""
-    pos, w = cloud.positions, cloud.weights
-    n = cloud.n
-    out = np.zeros_like(pos)
-    step = _chunk_size(n)
-    for a in range(0, n, step):
-        blk = pos[a:a + step]
-        z = blk[:, None, :] - pos[None, :, :]
-        r = np.sqrt(np.sum(z * z, axis=-1))
-        safe = np.maximum(r, 1e-300)
-        coef = np.where(r < 1e-14, 0.0, w[None, :] * slope(safe) / safe)
-        out[a:a + step] = -np.einsum("bj,bjk->bk", coef, z)
-    return out
+def _perturbation(W):
+    """The pairwise part of W beyond the telescoped r^2/(2d), or None."""
+    if W is None or W.perturbation.name == "zero":
+        return None
+    return W.perturbation
 
 
 def velocity_field(cloud, V=None, W=None):
@@ -241,8 +147,25 @@ def velocity_field(cloud, V=None, W=None):
     if (V is None) == (W is None):
         raise ConfigError("exactly one of V (confinement) or W (attraction) "
                           "must be given", reason="invalid solver config")
-    u = _newton_velocity(cloud)
-    pos = cloud.positions
+    pos, w = cloud.positions, cloud.weights
+    d, delta = cloud.dim.d, cloud.delta_reg
+    sigma_d = cloud.dim.sphere_area
+    pert = _perturbation(W)
+
+    def coef(r, apart):
+        # pair speed over r: regularized Newton repulsion, minus the
+        # perturbation's slope in attraction mode
+        g = 1.0 / (sigma_d * np.maximum(r, delta) ** (d - 1))
+        if pert is not None:
+            g = g - pert.slope(r)
+        return np.divide(g, r, out=np.zeros_like(r), where=apart)
+
+    # u_i = sum_j c_ij w_j (x_i - x_j): both sums from one product with [w x, w]
+    sums, coincident = _pair_sum(pos, coef, np.column_stack([w[:, None] * pos, w]))
+    if coincident > 0:
+        warnings.warn(f"{coincident // 2} coincident particle pairs inside the "
+                      "regularization floor", ResolutionWarning)
+    u = sums[:, d:] * pos - sums[:, :d]
     if V is not None:
         r = np.linalg.norm(pos, axis=1)
         safe = np.maximum(r, 1e-300)
@@ -250,11 +173,8 @@ def velocity_field(cloud, V=None, W=None):
         u -= pull[:, None] * pos
         return u
     # attraction: quadratic part telescopes around the center of mass
-    S = cloud.weights @ pos
-    u -= (cloud.m0 * pos - S[None, :]) / cloud.dim.d
-    pert = W.perturbation
-    if getattr(pert, "name", "") != "zero":
-        u += _pairwise_radial_slope(cloud, pert.slope)
+    S = w @ pos
+    u -= (cloud.m0 * pos - S[None, :]) / d
     return u
 
 
@@ -305,38 +225,34 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
 
 
 def discrete_energy(cloud, V=None, W=None):
-    """Pairwise energy with the regularized kernel, skipping i = j."""
+    """Pairwise energy with the regularized kernel, skipping self and
+    coincident pairs as velocity_field does."""
     if (V is None) == (W is None):
         raise ConfigError("exactly one of V (confinement) or W (attraction) "
                           "must be given", reason="invalid solver config")
     pos, w = cloud.positions, cloud.weights
-    d = cloud.dim.d
-    sigma_d = cloud.dim.sphere_area
+    d, delta = cloud.dim.d, cloud.delta_reg
     coeff = cloud.dim.newton_coeff if d >= 3 else 0.0
-    if _HAVE_NUMBA:
-        E = _newton_energy_kernel(pos, w, cloud.delta_reg, sigma_d, coeff)
-    else:
-        E = _newton_energy_numpy(pos, w, cloud.delta_reg, sigma_d, coeff)
+    pert = _perturbation(W)
+
+    def coef(r, apart):
+        # pair energy: regularized Newton kernel, plus the perturbation in
+        # attraction mode
+        rr = np.maximum(r, delta)
+        vals = -np.log(rr) / (2.0 * np.pi) if d == 2 else coeff * rr ** (2 - d)
+        if pert is not None:
+            vals += pert.value(r)
+        return np.where(apart, vals, 0.0)
+
+    rows, _ = _pair_sum(pos, coef, w)
+    E = 0.5 * float(w @ rows)
     if V is not None:
         r = np.linalg.norm(pos, axis=1)
         return float(E + np.sum(w * V.value(r)))
     # attraction: 1/2 sum_{i != j} w_i w_j W(r_ij); quadratic part in closed form
     S = w @ pos
     Q = float(np.sum(w * np.sum(pos * pos, axis=1)))
-    E += (cloud.m0 * Q - float(S @ S)) / (2.0 * cloud.dim.d)
-    pert = W.perturbation
-    if getattr(pert, "name", "") != "zero":
-        step = _chunk_size(cloud.n)
-        acc = 0.0
-        for a in range(0, cloud.n, step):
-            blk = pos[a:a + step]
-            z = blk[:, None, :] - pos[None, :, :]
-            r = np.sqrt(np.sum(z * z, axis=-1))
-            vals = np.where(r < 1e-14, 0.0, pert.value(np.maximum(r, 1e-300)))
-            for b in range(blk.shape[0]):
-                vals[b, a + b] = 0.0
-            acc += float(w[a:a + step] @ vals @ w)
-        E += 0.5 * acc
+    E += (cloud.m0 * Q - float(S @ S)) / (2.0 * d)
     return float(E)
 
 

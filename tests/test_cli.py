@@ -135,6 +135,26 @@ def test_config_and_recipe_conflict(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("section, line", [
+    ("problem", "dimension = abc"),
+    ("solver", "n_quantiles = 1.5"),
+    ("problem", "m0 = nan"),
+    ("solver", "t_end = inf"),
+    ("rho0", "radius = -inf"),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, section, line):
+    # non-numeric and non-finite values are config errors, not tracebacks
+    # or misleading downstream failures (m0 = nan used to pass m0 <= 0)
+    ini = _write_ini(tmp_path / "bad.ini",
+                     f"[run]\nmode = steady\n\n[{section}]\n{line}\n")
+    rc = main(["steady", "--config", ini, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    key = line.split()[0]
+    assert f"error: [{section}] {key} = " in err
+    assert "reason: invalid solver config" in err
+
+
 def test_unknown_recipe_rejected():
     # argparse enforces the recipe enum itself
     with pytest.raises(SystemExit):

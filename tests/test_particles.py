@@ -11,8 +11,7 @@ from repelflow import (Dimension, uniform_ball, build_steady_state, quadratic,
                        discrete_energy, save_cloud, load_cloud,
                        cloud_support_radius, default_regularization,
                        newton_grad)
-from repelflow.particles import (_newton_velocity_numpy, _newton_energy_numpy,
-                                 _HAVE_NUMBA, advance)
+from repelflow.particles import advance
 from repelflow.errors import ConfigError, DivergenceError, ResolutionWarning
 
 
@@ -51,22 +50,49 @@ def test_lone_particle_is_still():
     assert np.allclose(u, 0.0, atol=1e-15)
 
 
-def test_numba_and_numpy_kernels_agree():
-    if not _HAVE_NUMBA:
-        pytest.skip("numba unavailable; fallback path is the only path")
-    from repelflow.particles import _newton_velocity_kernel, _newton_energy_kernel
-    rng = np.random.default_rng(3)
-    pos = rng.normal(size=(150, 3))
-    w = rng.uniform(0.1, 1.0, size=150)
-    sigma = Dimension(3).sphere_area
-    u_nb, c_nb = _newton_velocity_kernel(pos, w, 1e-3, sigma)
-    u_np, c_np = _newton_velocity_numpy(pos, w, 1e-3, sigma)
-    assert c_nb == c_np == 0
-    assert np.allclose(u_nb, u_np, rtol=1e-12, atol=1e-14)
-    coeff = Dimension(3).newton_coeff
-    e_nb = _newton_energy_kernel(pos, w, 1e-3, sigma, coeff)
-    e_np = _newton_energy_numpy(pos, w, 1e-3, sigma, coeff)
-    assert e_nb == pytest.approx(e_np, rel=1e-12)
+def _brute_force(cloud, V=None, W=None):
+    """Velocities and energy from a plain double loop over i != j."""
+    pos, w, delta = cloud.positions, cloud.weights, cloud.delta_reg
+    dim = cloud.dim
+    n, d = pos.shape
+    u = np.zeros_like(pos)
+    E = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            z = pos[i] - pos[j]
+            r = math.sqrt(z @ z)
+            rr = max(r, delta)
+            # repulsion -grad N, clipped at delta; N = -log/(2 pi) or c_d r^(2-d)
+            u[i] += w[j] * z / (dim.sphere_area * rr ** (d - 1) * r)
+            E += 0.5 * w[i] * w[j] * (-math.log(rr) / (2 * math.pi) if d == 2
+                                      else dim.newton_coeff * rr ** (2 - d))
+            if W is not None:
+                u[i] -= w[j] * float(W.base.slope(r)) * z / r
+                E += 0.5 * w[i] * w[j] * float(W.base.value(r))
+        if V is not None:
+            r = math.sqrt(pos[i] @ pos[i])
+            u[i] -= float(V.slope(r)) * pos[i] / r
+            E += w[i] * float(V.value(r))
+    return u, E
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mode", ["confinement", "attraction"])
+def test_pair_sums_match_brute_force(dim, mode):
+    rng = np.random.default_rng(dim)
+    d = Dimension(dim)
+    # delta inside the pair-distance range so both kernel branches are hit
+    cloud = ParticleCloud(positions=rng.normal(size=(60, dim)),
+                          weights=rng.uniform(0.1, 1.0, size=60),
+                          delta_reg=0.3, dim=d)
+    fields = ({"V": quadratic(1.5)} if mode == "confinement"
+              else {"W": AttractionPotential.gaussian_bump(d, 0.01)})
+    u_ref, E_ref = _brute_force(cloud, **fields)
+    u = velocity_field(cloud, **fields)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    assert discrete_energy(cloud, **fields) == pytest.approx(E_ref, rel=1e-12)
 
 
 def test_newton_momentum_free():
