@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from .density import RadialDensity
 from .errors import (ConfigError, ConvergenceError, NumericsError,
@@ -39,14 +40,59 @@ __all__ = [
 ]
 
 _THETA_NODES = 64
+# d = 3 table of G(t) = int_0^t u f(u) du: knots over [0, max r + max s]
+_G_KNOTS = 4097
+# Gauss nodes per table piece and per directly integrated short interval
+_GAUSS_NODES = 8
+# pairs with 2 min(r, s) under this many knot spacings skip the table, whose
+# difference G(r+s) - G(|r-s|) loses digits to cancellation as r s -> 0
+_SHORT_SPACINGS = 128
 
 
-def _theta_rule(dim):
-    """Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in."""
-    x, w = leggauss(_THETA_NODES)
-    theta = 0.5 * np.pi * (x + 1.0)
-    weight = 0.5 * np.pi * w * np.sin(theta) ** (dim.d - 2)
-    return theta, weight
+def _sphere_mean(f, dim, t_max):
+    """Kernel mean(r, s): the average of f(|x - y|) over |y| = s at |x| = r.
+
+    Valid for broadcastable r, s >= 0 with r + s <= t_max.  In d = 3 the
+    average is exactly (G(r+s) - G(|r-s|)) / (2 r s) with G' = t f(t); G is
+    built once here from Gauss pieces on each knot interval and fitted by a
+    cubic Hermite spline with the exact slope t f(t).  Short intervals,
+    where that difference cancels, are integrated directly; r = s = 0 gives
+    f(0).  Other d use 64-node Gauss-Legendre in the angle.
+    """
+    if dim.d != 3:
+        # Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in
+        x, w = leggauss(_THETA_NODES)
+        theta = 0.5 * np.pi * (x + 1.0)
+        tw = 0.5 * np.pi * w * np.sin(theta) ** (dim.d - 2)
+        cos_t = np.cos(theta)
+        scale = Dimension(dim.d - 1).sphere_area / dim.sphere_area
+
+        def angular(r, s):
+            r, s = r[..., None], s[..., None]
+            arg = np.sqrt(np.maximum(r ** 2 + s ** 2 - 2.0 * r * s * cos_t, 0.0))
+            return scale * (np.asarray(f(arg)) @ tw)
+        return angular
+
+    x, w = leggauss(_GAUSS_NODES)
+    # t_max = 0 means r = s = 0 throughout: every pair is short
+    knots = np.linspace(0.0, t_max or 1.0, _G_KNOTS)
+    h = knots[1]
+    nodes = knots[:-1, None] + 0.5 * h * (x + 1.0)
+    pieces = (nodes * f(nodes)) @ w * (0.5 * h)
+    G = CubicHermiteSpline(knots, np.concatenate(([0.0], np.cumsum(pieces))),
+                           knots * f(knots))
+
+    def identity(r, s):
+        lo, hi = np.minimum(r, s), np.maximum(r, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.asarray((G(hi + lo) - G(hi - lo)) / (2.0 * hi * lo))
+        short = 2.0 * lo < _SHORT_SPACINGS * h
+        lo, hi = lo[short], hi[short]
+        # int t f(t) dt over [hi - lo, hi + lo] / (2 r s), nodes t = hi + lo x
+        q = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
+        out[short] = 0.5 * (f(hi[:, None] + lo[:, None] * x) * (1.0 + q[:, None] * x)) @ w
+        return out[()]
+    return identity
 
 
 def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
@@ -54,37 +100,31 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
 
     Reduces the volume convolution to
 
-        sigma_(d-1) int rho(s) s^(d-1) int_0^pi f(sqrt(r^2+s^2-2rs cos t))
-                                                 sin^(d-2) t dt ds
+        sigma_d int rho(s) s^(d-1) mean_(|y|=s) f(|x - y|) ds,   |x| = r,
 
-    with 64-node Gauss-Legendre in the angle and composite Simpson on a
-    uniform s-grid over the support.  Doubling the s-grid must move the
-    result by less than 1e-6 relative, else a resolution error is raised.
+    with composite Simpson on a uniform s-grid over the support.  In d = 3
+    the sphere mean is the exact identity (G(r+s) - G(|r-s|)) / (2 r s),
+    G' = t f(t), read from one table per call; other d integrate the angle
+    with 64-node Gauss-Legendre.  Doubling the s-grid must move the result
+    by less than 1e-6 relative, else a resolution error is raised.
     """
     if dim.d < 2:
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    theta, tw = _theta_rule(dim)
-    cos_t = np.cos(theta)
     s_hi = min(rho.grid[-1], rho.support_radius)
+    mean = _sphere_mean(f, dim, float(np.max(r, initial=0.0)) + s_hi)
 
     def evaluate(n):
         s = np.linspace(0.0, s_hi, n)
         rho_s = rho(s)
         weight = rho_s * s ** (dim.d - 1)
         out = np.empty_like(r)
-        # r-blocks keep the (block, n_s, 64) distance array under ~30 MB
+        # r-blocks keep the angular rule's (block, n_s, 64) arrays under ~30 MB
         block = max(1, 4_000_000 // (n * _THETA_NODES))
         for lo in range(0, r.size, block):
-            rb = r[lo:lo + block]
-            # distance |x - y| at radius pair (r, s) and angle theta
-            arg = np.sqrt(np.maximum(
-                rb[:, None, None] ** 2 + s[None, :, None] ** 2
-                - 2.0 * rb[:, None, None] * s[None, :, None] * cos_t[None, None, :],
-                0.0))
-            inner = np.asarray(f(arg)) @ tw
-            out[lo:lo + block] = simpson(weight[None, :] * inner, x=s, axis=1)
-        return Dimension(dim.d - 1).sphere_area * out
+            out[lo:lo + block] = simpson(weight * mean(r[lo:lo + block, None], s),
+                                         x=s, axis=1)
+        return dim.sphere_area * out
 
     out = evaluate(n_s)
     if _refine_check:
@@ -101,15 +141,14 @@ def shell_mean(f, r, s, dim):
     """Average of f(|x - y|) over y on the sphere |y| = s, evaluated at |x| = r.
 
     A shell of mass m at radius s convolves to m * shell_mean, which turns
-    quantile states into convolution sums without a gridded density.
+    quantile states into convolution sums without a gridded density.  In
+    d = 3 the average is the exact identity (G(r+s) - G(|r-s|)) / (2 r s),
+    G' = t f(t); other d integrate the angle with 64-node Gauss-Legendre.
     """
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
-    theta, tw = _theta_rule(dim)
-    arg = np.sqrt(np.maximum(
-        r[..., None] ** 2 + s[..., None] ** 2
-        - 2.0 * r[..., None] * s[..., None] * np.cos(theta), 0.0))
-    return (Dimension(dim.d - 1).sphere_area / dim.sphere_area) * (np.asarray(f(arg)) @ tw)
+    t_max = float(np.max(r, initial=0.0) + np.max(s, initial=0.0))
+    return _sphere_mean(f, dim, t_max)(r, s)
 
 
 @dataclass

@@ -166,6 +166,14 @@ def _parse(section, key, raw, cast):
     return value
 
 
+def boolean(raw):
+    """An INI flag, spelled as configparser accepts it (yes/no, on/off, 1/0)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
 def _rho0_from_section(cp, section):
     if not cp.has_section(section):
         return None
@@ -180,7 +188,15 @@ def _rho0_from_section(cp, section):
 
 def config_from_ini(path):
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+        # interpolate every value now, so a stray '%' fails here too
+        for section in cp.sections():
+            cp.items(section)
+    except configparser.Error as err:
+        raise ConfigError(f"config file {path!r} is not valid INI: {err}",
+                          reason="invalid solver config") from None
+    if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable",
                           reason="invalid solver config")
     cfg = ExperimentConfig()
@@ -205,8 +221,7 @@ def config_from_ini(path):
     pull("attraction", "n_grid", int, "attraction_n_grid")
     pull("attraction", "tol", float, "attraction_tol")
     pull("attraction", "max_iter", int, "attraction_max_iter")
-    if cp.has_option("attraction", "allow_unproven"):
-        cfg.allow_unproven = cp.getboolean("attraction", "allow_unproven")
+    pull("attraction", "allow_unproven", boolean)
     spec = _rho0_from_section(cp, "rho0")
     if spec:
         cfg.rho0 = spec
@@ -581,7 +596,9 @@ def _run_rates(cfg, out):
         raise ConfigError(f"series file {src} not found",
                           reason="invalid solver config")
     series = DiagnosticSeries.from_csv(src)
-    dim = Dimension(cfg.dimension) if cfg.dimension else None
+    # the series records the dimension it was run in; the config's is a fallback
+    d = series.params.get("d", cfg.dimension)
+    dim = Dimension(d) if d else None
     summary = {"mode": "rates", "series": str(src)}
     quantities = cfg.rate_quantities or ("energy_gap",)
     cfg = replace(cfg, rate_quantities=quantities)

@@ -9,6 +9,7 @@ dE_N/dt = -sum m_i u_i^2 holds discretely and energy gaps can be measured
 against the steady quantile configuration without quadrature noise.
 """
 
+import ast
 import csv
 from dataclasses import dataclass, field
 
@@ -146,8 +147,8 @@ class DiagnosticSeries:
                 if line.startswith("#"):
                     key, _, raw = line[1:].partition("=")
                     try:
-                        params[key.strip()] = eval(raw.strip(), {"__builtins__": {}}, {})
-                    except Exception:
+                        params[key.strip()] = ast.literal_eval(raw.strip())
+                    except (ValueError, SyntaxError, TypeError):
                         params[key.strip()] = raw.strip()
                     continue
                 rows.append(line)

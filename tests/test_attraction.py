@@ -59,12 +59,28 @@ def test_convolution_needs_d_at_least_two():
                                 Dimension(1), np.array([0.5]))
 
 
+def test_shell_mean_d3_closed_forms():
+    # mean of t^2 is r^2 + s^2; of exp(-t^2) it is
+    # -exp(-(r-s)^2) expm1(-4rs) / (4rs), tending to exp(-(r-s)^2) as rs -> 0
+    dim = Dimension(3)
+    probe = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3],
+                            np.random.default_rng(5).uniform(0.0, 2.0, 60)])
+    r, s = probe[:, None], probe[None, :]
+    square = shell_mean(lambda t: t * t, r, s, dim)
+    assert np.max(np.abs(square - (r * r + s * s))) <= 1e-11 * np.max((r + s) ** 2)
+    rs = r * s
+    gauss = np.where(rs > 0.0, -np.exp(-(r - s) ** 2) * np.expm1(-4.0 * rs)
+                     / (4.0 * np.where(rs > 0.0, rs, 1.0)), np.exp(-(r - s) ** 2))
+    assert np.max(np.abs(shell_mean(lambda t: np.exp(-t * t), r, s, dim) - gauss)) <= 1e-11
+
+
 def test_resolution_gate_trips_on_needle():
-    dim = Dimension(2)
-    rho = uniform_ball(dim, 1.0, 1.0, n=101)
     needle = lambda z: np.exp(-(z / 0.02) ** 2)
-    with pytest.raises(ResolutionError):
-        spherical_mean_convolve(needle, rho, dim, np.array([0.5]), n_s=17)
+    for d in (2, 3):
+        dim = Dimension(d)
+        rho = uniform_ball(dim, 1.0, 1.0, n=101)
+        with pytest.raises(ResolutionError):
+            spherical_mean_convolve(needle, rho, dim, np.array([0.5]), n_s=17)
 
 
 def test_smallness_report_formula():
@@ -161,6 +177,21 @@ def test_override_warns_and_converges():
     res = field.residual_history
     assert np.all(res[2:] / res[1:-1] < 0.5)
     assert st.R_inf == pytest.approx(d3.ball_volume ** (-1 / 3), rel=5e-3)
+
+
+def test_bump_fixed_point_d3_pinned():
+    # regression pin of the d = 3 bump at n_grid = 129; the 64-node angular
+    # rule gave the same iterates to 1e-16
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.01)
+    with pytest.warns(ResolutionWarning):
+        st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
+                                            allow_unproven=True)
+    assert field.iteration == 4
+    assert st.R_inf == pytest.approx(0.6199975254908041, abs=1e-12)
+    expect = [4.186587836487954e-3, 6.802208931677711e-6,
+              1.144696137878043e-8, 1.9270363083023767e-11]
+    assert np.allclose(field.residual_history, expect, rtol=0.0, atol=1e-10)
 
 
 def test_effective_field_matches_converged_field():

@@ -155,6 +155,23 @@ def test_bad_numbers_exit_2(tmp_path, capsys, section, line):
     assert "reason: invalid solver config" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\nmode = steady\n\n[run]\nseed = 1\n",
+    "mode = steady\n",
+    "[run]\nmode = attract_steady\n\n[attraction]\nallow_unproven = maybe\n",
+    "[run]\nmode = steady\nout = 50%\n",
+], ids=["repeated-section", "no-section-header", "bad-boolean", "bad-interpolation"])
+def test_ini_syntax_errors_exit_2(tmp_path, capsys, text):
+    # a repeated section, a missing section header, a bad boolean and a
+    # stray '%' are config errors, not configparser tracebacks
+    ini = _write_ini(tmp_path / "bad.ini", text)
+    rc = main(["steady", "--config", ini, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "reason: invalid solver config" in err
+
+
 def test_unknown_recipe_rejected():
     # argparse enforces the recipe enum itself
     with pytest.raises(SystemExit):
@@ -252,6 +269,28 @@ series = /nonexistent/series.csv
     rc = main(["rates", "--config", ini, "--out", str(tmp_path / "f")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_rates_takes_dimension_from_series_header(tmp_path):
+    # no [problem] section: the d = 2 series must not be fitted as d = 3
+    run_dir = tmp_path / "run"
+    assert main(["simulate_radial", "--recipe", "rates_d2",
+                 "--out", str(run_dir)]) == 0
+    ini = _write_ini(tmp_path / "r.ini", f"""
+[run]
+mode = rates
+
+[rates]
+quantity = energy_gap, l1
+series = {run_dir}
+window_lo = 1.0
+window_hi = 5.0
+""")
+    out = tmp_path / "fit"
+    assert main(["rates", "--config", ini, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for q in ("energy_gap", "l1"):
+        assert summary[f"rate_{q}"]["verdict"] == "n/a"
 
 
 RADIAL_INI = """

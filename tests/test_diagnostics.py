@@ -98,6 +98,20 @@ def test_collect_series_and_roundtrip(tmp_path):
     assert back.params["E_inf"] == pytest.approx(series.params["E_inf"], abs=0.0)
 
 
+def test_series_header_is_read_as_literals(tmp_path):
+    series = _synthetic([0.0, 1.0], [1.0, 0.5])
+    series.params.update(m0=2 * math.pi, m=None, label="quadratic")
+    path = tmp_path / "series.csv"
+    series.to_csv(path)
+    back = DiagnosticSeries.from_csv(path)
+    assert back.params == series.params
+    assert type(back.params["d"]) is int and type(back.params["m0"]) is float
+    # a header value is data: an expression that is not a literal stays text
+    text = path.read_text().replace("# d = 3", "# d = __import__('os')")
+    path.write_text(text)
+    assert DiagnosticSeries.from_csv(path).params["d"] == "__import__('os')"
+
+
 def _synthetic(times, gaps):
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
