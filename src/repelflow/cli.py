@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,10 @@ POTENTIAL_KINDS = ("quadratic", "quartic", "log-tail", "double-well",
                    "zero", "table")
 
 RHO0_KINDS = ("ball", "annulus", "interval", "cloud")
+
+CHOICES = {"mode": MODES, "potential_kind": POTENTIAL_KINDS,
+           "particle_mode": ("confinement", "attraction"),
+           "check": ("pareto", "compact")}
 
 
 @dataclass
@@ -98,26 +102,35 @@ class ExperimentConfig:
     r0: float = 1.0
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}",
-                              reason="invalid solver config")
-        if self.potential_kind not in POTENTIAL_KINDS:
-            raise ConfigError(f"unknown potential kind {self.potential_kind!r}",
-                              reason="invalid solver config")
+        for name, choices in CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"choices: {', '.join(choices)}",
+                                  reason="invalid solver config")
         if self.m0 <= 0.0:
             raise ConfigError("m0 must be positive",
                               reason="invalid solver config")
         for spec in (self.rho0, self.rho0_alt):
-            if spec and spec.get("kind") not in RHO0_KINDS:
-                raise ConfigError(f"unknown rho0 kind {spec.get('kind')!r}",
+            if spec and spec.get("kind", "ball") not in RHO0_KINDS:
+                raise ConfigError(f"unknown rho0 kind {spec['kind']!r}",
                                   reason="invalid solver config")
+
+
+def _load_input(path, load):
+    """load(path) for an input file the config names; a missing file is a config error."""
+    try:
+        return load(path)
+    except OSError as err:
+        raise ConfigError(f"input file {path!r} cannot be read: {err}",
+                          reason="invalid solver config") from None
 
 
 def build_confinement(cfg):
     """Confinement potential from the config's [potential] spec."""
     kind, p = cfg.potential_kind, cfg.potential_param
     if kind == "table":
-        data = np.loadtxt(cfg.potential_table, delimiter=",", comments="#")
+        data = _load_input(cfg.potential_table, lambda path: np.loadtxt(
+            path, delimiter=",", comments="#"))
         return table_potential(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
     if kind == "zero":
         return zero_potential()
@@ -174,133 +187,118 @@ def boolean(raw):
         raise ValueError(raw) from None
 
 
-def _rho0_from_section(cp, section):
-    if not cp.has_section(section):
-        return None
-    spec = {"kind": cp.get(section, "kind", fallback="ball")}
-    for key in ("value", "radius", "r_in", "r_out", "a", "b"):
-        if cp.has_option(section, key):
-            spec[key] = _parse(section, key, cp.get(section, key), float)
-    if cp.has_option(section, "path"):
-        spec["path"] = cp.get(section, "path")
-    return spec
+def comma_list(raw):
+    """An INI list such as `energy_gap, l1`; blank items are dropped."""
+    return tuple(item.strip() for item in raw.split(",") if item.strip())
+
+
+# The INI layout in file order: each section lists its keys, and an entry
+# (key, field) names the ExperimentConfig field where the two differ.
+# [rho0] and [rho0_alt] fill the dict field of the same name instead.
+RHO0_KEYS = {"kind": str, "value": float, "radius": float, "r_in": float,
+             "r_out": float, "a": float, "b": float, "path": str}
+
+INI_LAYOUT = (
+    ("run", ("mode", "out", "seed")),
+    ("problem", ("dimension", "m0")),
+    ("potential", (("kind", "potential_kind"), ("param", "potential_param"),
+                   ("table", "potential_table"))),
+    ("attraction", ("epsilon", ("width", "bump_width"), ("sign", "bump_sign"),
+                    "allow_unproven", ("n_grid", "attraction_n_grid"),
+                    ("tol", "attraction_tol"),
+                    ("max_iter", "attraction_max_iter"))),
+    ("rho0", RHO0_KEYS),
+    ("rho0_alt", RHO0_KEYS),
+    ("solver", ("n_quantiles", "dt_init", "dt_min", "dt_max", "t_end",
+                "rk_order", "crossing_policy", "snapshot_stride",
+                ("n_grid", "steady_n_grid"))),
+    ("particles", (("n", "n_particles"), ("t_end", "particle_t_end"),
+                   ("dt_max", "particle_dt_max"),
+                   ("safety", "particle_safety"),
+                   ("rk_order", "particle_rk_order"),
+                   ("mode", "particle_mode"))),
+    ("rates", (("quantity", "rate_quantities"), "window_lo", "window_hi",
+               ("series", "series_path"), "min_samples", "gamma_target")),
+    ("validate", ("check", "c_v", "r0")),
+)
+
+
+def _sections():
+    """section -> {key: (field, cast)}; a [rho0] key is its own field."""
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    casts = {bool: boolean, tuple: comma_list}
+    table = {}
+    for section, entries in INI_LAYOUT:
+        if isinstance(entries, dict):
+            table[section] = {key: (key, cast) for key, cast in entries.items()}
+        else:
+            pairs = [(e, e) if isinstance(e, str) else e for e in entries]
+            table[section] = {key: (name, casts.get(types[name], types[name]))
+                              for key, name in pairs}
+    return table
+
+
+_SECTIONS = _sections()
+_SPEC_SECTIONS = {section for section, entries in INI_LAYOUT
+                  if isinstance(entries, dict)}
+
+
+def _ini_value(value):
+    """One field as INI text; None is the empty value, read back as the default."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        value = ",".join(value)
+    # the reader interpolates, so a literal '%' is written as '%%'
+    return str(value).replace("%", "%%")
 
 
 def config_from_ini(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no DEFAULT section: its keys would leak into every other section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   default_section=None)
     try:
-        found = cp.read(path)
+        found = cp.read(path, encoding="utf-8")
         # interpolate every value now, so a stray '%' fails here too
-        for section in cp.sections():
-            cp.items(section)
-    except configparser.Error as err:
+        items = {section: cp.items(section) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"config file {path!r} is not valid INI: {err}",
                           reason="invalid solver config") from None
     if not found:
         raise ConfigError(f"config file {path!r} not found or unreadable",
                           reason="invalid solver config")
     cfg = ExperimentConfig()
-
-    def pull(section, key, cast, attr=None):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key).strip()
-            if raw != "":
-                setattr(cfg, attr or key, _parse(section, key, raw, cast))
-
-    pull("run", "mode", str)
-    pull("run", "out", str)
-    pull("run", "seed", int)
-    pull("problem", "dimension", int)
-    pull("problem", "m0", float)
-    pull("potential", "kind", str, "potential_kind")
-    pull("potential", "param", float, "potential_param")
-    pull("potential", "table", str, "potential_table")
-    pull("attraction", "epsilon", float)
-    pull("attraction", "width", float, "bump_width")
-    pull("attraction", "sign", int, "bump_sign")
-    pull("attraction", "n_grid", int, "attraction_n_grid")
-    pull("attraction", "tol", float, "attraction_tol")
-    pull("attraction", "max_iter", int, "attraction_max_iter")
-    pull("attraction", "allow_unproven", boolean)
-    spec = _rho0_from_section(cp, "rho0")
-    if spec:
-        cfg.rho0 = spec
-    cfg.rho0_alt = _rho0_from_section(cp, "rho0_alt")
-    pull("solver", "n_quantiles", int)
-    pull("solver", "dt_init", float)
-    pull("solver", "dt_min", float)
-    pull("solver", "dt_max", float)
-    pull("solver", "t_end", float)
-    pull("solver", "rk_order", int)
-    pull("solver", "crossing_policy", str)
-    pull("solver", "snapshot_stride", int)
-    pull("solver", "n_grid", int, "steady_n_grid")
-    pull("particles", "n", int, "n_particles")
-    pull("particles", "t_end", float, "particle_t_end")
-    pull("particles", "dt_max", float, "particle_dt_max")
-    pull("particles", "safety", float, "particle_safety")
-    pull("particles", "rk_order", int, "particle_rk_order")
-    pull("particles", "mode", str, "particle_mode")
-    if cp.has_option("rates", "quantity"):
-        cfg.rate_quantities = tuple(
-            q.strip() for q in cp.get("rates", "quantity").split(",") if q.strip())
-    pull("rates", "window_lo", float)
-    pull("rates", "window_hi", float)
-    pull("rates", "series", str, "series_path")
-    pull("rates", "min_samples", int)
-    pull("rates", "gamma_target", float)
-    pull("validate", "check", str)
-    pull("validate", "c_v", float)
-    pull("validate", "r0", float)
+    for section, pairs in items.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; sections: "
+                              f"{', '.join(_SECTIONS)}",
+                              reason="invalid solver config")
+        keys = _SECTIONS[section]
+        values = {}
+        for key, raw in pairs:
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; keys: "
+                                  f"{', '.join(keys)}",
+                                  reason="invalid solver config")
+            name, cast = keys[key]
+            if raw.strip():
+                values[name] = _parse(section, key, raw.strip(), cast)
+        if section in _SPEC_SECTIONS:
+            values = {section: values} if values else {}
+        for name, value in values.items():
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
 
 def config_to_ini(cfg, path):
-    """Write the effective config back out (INI round trip)."""
-    cp = configparser.ConfigParser()
-    cp["run"] = {"mode": cfg.mode, "out": cfg.out, "seed": str(cfg.seed)}
-    cp["problem"] = {"dimension": str(cfg.dimension), "m0": repr(cfg.m0)}
-    cp["potential"] = {"kind": cfg.potential_kind,
-                       "param": repr(cfg.potential_param)}
-    if cfg.potential_table:
-        cp["potential"]["table"] = cfg.potential_table
-    if cfg.epsilon is not None:
-        cp["attraction"] = {"epsilon": repr(cfg.epsilon),
-                            "width": repr(cfg.bump_width),
-                            "sign": str(cfg.bump_sign),
-                            "allow_unproven": str(cfg.allow_unproven).lower(),
-                            "n_grid": str(cfg.attraction_n_grid),
-                            "tol": repr(cfg.attraction_tol),
-                            "max_iter": str(cfg.attraction_max_iter)}
-    for name, spec in (("rho0", cfg.rho0), ("rho0_alt", cfg.rho0_alt)):
-        if spec:
-            cp[name] = {k: (v if isinstance(v, str) else repr(v))
-                        for k, v in spec.items()}
-    cp["solver"] = {"n_quantiles": str(cfg.n_quantiles),
-                    "dt_init": repr(cfg.dt_init), "dt_min": repr(cfg.dt_min),
-                    "dt_max": repr(cfg.dt_max), "t_end": repr(cfg.t_end),
-                    "rk_order": str(cfg.rk_order),
-                    "crossing_policy": cfg.crossing_policy,
-                    "snapshot_stride": str(cfg.snapshot_stride),
-                    "n_grid": str(cfg.steady_n_grid)}
-    cp["particles"] = {"n": str(cfg.n_particles),
-                       "t_end": repr(cfg.particle_t_end),
-                       "dt_max": repr(cfg.particle_dt_max),
-                       "safety": repr(cfg.particle_safety),
-                       "rk_order": str(cfg.particle_rk_order),
-                       "mode": cfg.particle_mode}
-    if cfg.rate_quantities:
-        cp["rates"] = {"quantity": ",".join(cfg.rate_quantities),
-                       "window_lo": repr(cfg.window_lo),
-                       "window_hi": repr(cfg.window_hi),
-                       "min_samples": str(cfg.min_samples)}
-        if cfg.series_path:
-            cp["rates"]["series"] = cfg.series_path
-        if cfg.gamma_target is not None:
-            cp["rates"]["gamma_target"] = repr(cfg.gamma_target)
-    cp["validate"] = {"check": cfg.check, "c_v": repr(cfg.c_v),
-                      "r0": repr(cfg.r0)}
+    """Write every field of the config; reading the file back replays the run."""
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SECTIONS.items():
+        record = (getattr(cfg, section) or {}) if section in _SPEC_SECTIONS \
+            else vars(cfg)
+        cp[section] = {key: _ini_value(record.get(name))
+                       for key, (name, _) in keys.items()}
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -525,7 +523,8 @@ def _run_simulate_particles(cfg, out):
         V = build_confinement(cfg)
     if cfg.rho0.get("kind") == "cloud":
         # a loaded cloud is an initial condition: its clock restarts at zero
-        cloud = replace(load_cloud(cfg.rho0["path"]), time=0.0)
+        cloud = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),
+                        time=0.0)
     else:
         rho0 = build_density(cfg.rho0, dim, cfg.m0)
         # regularization scale set by the terminal density: Lap V on the
@@ -616,15 +615,12 @@ def _run_validate(cfg, out):
                   "laplacian_nonneg": bool(rep.laplacian_nonneg),
                   "laplacian_sup": rep.laplacian_sup}
         fail_reason = "compact support check failed"
-    elif cfg.check == "pareto":
+    else:
         rep = check_pareto_tail(V, dim)
         fields = {"increasing": bool(rep.increasing),
                   "growth_ratio": rep.growth_ratio,
                   "mass_reach": rep.mass_reach}
         fail_reason = "pareto tail failed"
-    else:
-        raise ConfigError(f"unknown check {cfg.check!r}",
-                          reason="invalid solver config")
     lines = [f"check = {cfg.check}", f"potential = {V.name}",
              f"passed = {bool(rep.passed)}"]
     lines += [f"{k} = {v}" for k, v in fields.items()]

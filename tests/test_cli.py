@@ -2,13 +2,17 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
-                           recipe, RECIPES, MODES, main)
+                           recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
+                           RHO0_KINDS, RHO0_KEYS, main)
 from repelflow.diagnostics import DiagnosticSeries
+from repelflow.errors import ConfigError
 
 
 def _write_ini(path, text):
@@ -170,6 +174,139 @@ def test_ini_syntax_errors_exit_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "error: " in err
     assert "reason: invalid solver config" in err
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("steady", "[run]\nmode = steady\ncolour = blue\n"),
+    ("steady", "[run]\nmode = steady\n\n[bogus]\nx = 1\n"),
+    ("steady", "[run]\nmode = steady\n\n[bogus]\n"),
+    ("steady", "[DEFAULT]\nseed = 1\n\n[run]\nmode = steady\n"),
+    ("simulate_particles",
+     "[run]\nmode = simulate_particles\n\n[particles]\nmode = attracton\n"),
+    ("validate", "[run]\nmode = validate\n\n[validate]\ncheck = both\n"),
+], ids=["unknown-key", "unknown-section", "empty-unknown-section",
+        "default-section", "particle-mode", "check"])
+def test_unknown_names_exit_2(tmp_path, capsys, mode, text):
+    # rejected while reading the config, before any artifact is written
+    ini = _write_ini(tmp_path / "bad.ini", text)
+    out = tmp_path / "o"
+    assert main([mode, "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown " in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, text", [
+    ("steady", "[potential]\nkind = table\ntable = {missing}\n"),
+    ("simulate_particles", "[rho0]\nkind = cloud\npath = {missing}\n"),
+    ("simulate_particles", "[rho0]\nkind = cloud\n"),
+], ids=["table", "cloud-path", "cloud-no-path"])
+def test_missing_input_files_exit_2(tmp_path, capsys, mode, text):
+    missing = tmp_path / "missing.csv"
+    ini = _write_ini(tmp_path / "in.ini", f"[run]\nmode = {mode}\n\n"
+                     + text.format(missing=missing))
+    assert main([mode, "--config", ini, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "reason: invalid solver config" in err
+
+
+def _replays(tmp_path, mode, ini):
+    # config_used.ini must carry everything the run read from its config
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([mode, "--config", ini, "--out", str(first)]) == 0
+    assert main([mode, "--config", str(first / "config_used.ini"),
+                 "--out", str(second)]) == 0
+    assert (second / "summary.json").read_bytes() == \
+        (first / "summary.json").read_bytes()
+
+
+def test_attraction_grid_without_epsilon_replays(tmp_path):
+    ini = _write_ini(tmp_path / "a.ini", """
+[run]
+mode = attract_steady
+
+[attraction]
+n_grid = 129
+""")
+    _replays(tmp_path, "attract_steady", ini)
+
+
+def test_rates_series_without_quantity_replays(tmp_path):
+    run_dir = _algebraic_series(tmp_path)
+    ini = _write_ini(tmp_path / "r.ini", f"""
+[run]
+mode = rates
+
+[rates]
+series = {run_dir}
+""")
+    _replays(tmp_path, "rates", ini)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# '%' must survive the reader's interpolation
+_PATHS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                 "0123456789_./-%", min_size=1, max_size=24)
+_BY_TYPE = {float: _FINITE, int: st.integers(-10**9, 10**9),
+            bool: st.booleans(), str: _PATHS,
+            tuple: st.lists(st.sampled_from(("energy_gap", "l1", "support_gap")),
+                            max_size=3).map(tuple)}
+_RHO0 = st.fixed_dictionaries(
+    {"kind": st.sampled_from(RHO0_KINDS)},
+    optional={key: _BY_TYPE[cast] for key, cast in RHO0_KEYS.items()
+              if key != "kind"})
+_CONFIGS = st.builds(ExperimentConfig, **{
+    **{f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)
+       if f.type in _BY_TYPE},
+    **{name: st.sampled_from(choices) for name, choices in CHOICES.items()},
+    "m0": st.floats(min_value=1e-300, allow_infinity=False),
+    "epsilon": st.none() | _FINITE,
+    "gamma_target": st.none() | _FINITE,
+    "rho0": st.just({}) | _RHO0,
+    "rho0_alt": st.none() | _RHO0,
+})
+
+
+@settings(max_examples=150)
+@given(cfg=_CONFIGS)
+def test_any_config_survives_the_ini_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+    config_to_ini(cfg, path)
+    assert config_from_ini(path) == cfg
+
+
+_KEYS = {section: [entry if isinstance(entry, str) else entry[0]
+                   for entry in entries] for section, entries in INI_LAYOUT}
+_VALUES = st.one_of(st.text(max_size=12), st.integers().map(str),
+                    st.floats().map(str),
+                    st.sampled_from([v for c in CHOICES.values() for v in c]))
+
+
+@st.composite
+def _ini_text(draw):
+    """Sections of the layout (and a stray one) with known and odd keys."""
+    lines = []
+    for section in draw(st.lists(st.sampled_from([*_KEYS, "bogus", "DEFAULT"]),
+                                 unique=True, max_size=5)):
+        lines.append(f"[{section}]")
+        keys = st.sampled_from(_KEYS.get(section, ["x"])) | st.text(max_size=6)
+        for key in draw(st.lists(keys, unique=True, max_size=5)):
+            lines.append(f"{key} = {draw(_VALUES)}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200)
+@given(text=st.text() | _ini_text())
+def test_fuzzed_ini_parses_or_is_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        cfg = config_from_ini(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_unknown_recipe_rejected():
