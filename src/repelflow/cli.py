@@ -26,8 +26,8 @@ from .potentials import (RadialPotential, AttractionPotential, quadratic,
 from .density import (uniform_ball, annulus, line_interval, l1_distance,
                       newtonian_radial_potential)
 from .steady import build_steady_state
-from .lagrangian import (EvolutionConfig, init_lagrangian, evolve,
-                         reconstruct_density, support_radius)
+from .lagrangian import (CROSSING_POLICIES, EvolutionConfig, init_lagrangian,
+                         evolve, reconstruct_density, support_radius)
 from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius)
@@ -44,6 +44,7 @@ POTENTIAL_KINDS = ("quadratic", "quartic", "log-tail", "double-well",
 RHO0_KINDS = ("ball", "annulus", "interval", "cloud")
 
 CHOICES = {"mode": MODES, "potential_kind": POTENTIAL_KINDS,
+           "crossing_policy": CROSSING_POLICIES,
            "particle_mode": ("confinement", "attraction"),
            "check": ("pareto", "compact")}
 
@@ -109,6 +110,12 @@ class ExperimentConfig:
                                   reason="invalid solver config")
         if self.m0 <= 0.0:
             raise ConfigError("m0 must be positive",
+                              reason="invalid solver config")
+        if self.n_particles < 1:
+            raise ConfigError("[particles] n must be at least 1",
+                              reason="invalid solver config")
+        if self.particle_rk_order not in (2, 4):
+            raise ConfigError("[particles] rk_order must be 2 or 4",
                               reason="invalid solver config")
         for spec in (self.rho0, self.rho0_alt):
             if spec and spec.get("kind", "ball") not in RHO0_KINDS:

@@ -70,6 +70,9 @@ class LagrangianState:
                               reason="invalid state")
 
 
+CROSSING_POLICIES = ("reject_step", "merge")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt_init: float = 0.01
@@ -87,7 +90,7 @@ class EvolutionConfig:
                               reason="invalid solver config")
         if self.rk_order not in (2, 4):
             raise ConfigError("rk_order must be 2 or 4", reason="invalid solver config")
-        if self.crossing_policy not in ("reject_step", "merge"):
+        if self.crossing_policy not in CROSSING_POLICIES:
             raise ConfigError("crossing_policy must be reject_step or merge",
                               reason="invalid solver config")
 

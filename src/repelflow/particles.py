@@ -13,7 +13,11 @@ quadratic part of W telescopes to -m0 (x_i - c0)/d around the conserved
 center of mass c0, leaving only the small perturbation to pairwise work.
 
 Direct O(N^2) summation throughout: the solver's job is to cross-check the
-radial code with minimal approximation error, not to scale.
+radial code with minimal approximation error, not to scale.  One blocked
+pair sum serves velocities and energies.  Each block of rows builds the
+strip of distances to itself and the later particles only, so every
+unordered pair is visited once; its coefficient depends on r_ij alone and
+serves both orders.
 """
 
 import csv
@@ -33,7 +37,6 @@ __all__ = [
     "advance",
     "run_particles",
     "discrete_energy",
-    "center_of_mass",
     "cloud_support_radius",
     "save_cloud",
     "load_cloud",
@@ -81,6 +84,9 @@ def sample_radial(density, N, rng, rho_ref=None):
     """Stratified sampling of a radial profile: inverse-CDF radii at the
     quantile midpoints (i - 1/2)/N, independent random angles."""
     dim = density.dim
+    if N < 1:
+        raise ConfigError(f"need at least one particle, got N = {N}",
+                          reason="invalid cloud")
     if dim.d not in (2, 3):
         raise ConfigError("particle sampling supports d = 2, 3 only",
                           reason="invalid dimension")
@@ -112,26 +118,39 @@ def sample_radial(density, N, rng, rho_ref=None):
 
 
 def _chunk_size(n):
-    return max(16, min(512, (1 << 22) // max(n, 1)))
+    # rows per strip: at most 4M distances, and at most 128 rows, so the
+    # in-place coefficient passes stay in cache and the square blocks,
+    # whose pairs are visited in both orders, stay a small share
+    return max(16, min(128, (1 << 22) // max(n, 1)))
 
 
 def _pair_sum(pos, coef, rhs):
-    """Row sums sum_j c_ij rhs_j over all pairs, one block of rows at a time.
+    """Row sums sum_j c_ij rhs_j over all pairs, each unordered pair once.
 
-    coef(r, apart) maps a block of distances r_ij = |x_i - x_j| to the pair
-    coefficients c_ij and must return 0 outside the mask apart, which drops
-    self and coincident pairs (r < 1e-14, no direction).  Returns the sums
-    and the number of coincident ordered pairs.
+    Block a of rows builds the strip r_ij = |x_i - x_j| for j >= a only.
+    coef(r, apart) overwrites the strip in place with the symmetric pair
+    coefficients c_ij wherever the mask apart holds; the rest, self and
+    coincident pairs (r < 1e-14, no direction), is then set to 0.  The
+    strip adds C rhs to its own rows and, by symmetry, C^T rhs to the later
+    rows; its leading square block already holds both orders of its pairs.
+    Returns the sums and the number of coincident ordered pairs.
     """
     n = pos.shape[0]
-    out = np.empty((n,) + rhs.shape[1:])
+    out = np.zeros((n,) + rhs.shape[1:])
     coincident = 0
     step = _chunk_size(n)
     for a in range(0, n, step):
-        r = cdist(pos[a:a + step], pos)
+        b = min(a + step, n)
+        r = cdist(pos[a:b], pos[a:])
         apart = r >= 1e-14
-        coincident += r.size - np.count_nonzero(apart) - r.shape[0]
-        out[a:a + step] = coef(r, apart) @ rhs
+        # pairs beyond the square block count in both orders
+        near = r.size - np.count_nonzero(apart)
+        near_square = (b - a) ** 2 - np.count_nonzero(apart[:, :b - a])
+        coincident += 2 * near - near_square - (b - a)
+        coef(r, apart)
+        r[~apart] = 0.0
+        out[a:b] += r @ rhs[a:]
+        out[b:] += r[:, b - a:].T @ rhs[a:b]
     return out, coincident
 
 
@@ -155,10 +174,13 @@ def velocity_field(cloud, V=None, W=None):
     def coef(r, apart):
         # pair speed over r: regularized Newton repulsion, minus the
         # perturbation's slope in attraction mode
-        g = 1.0 / (sigma_d * np.maximum(r, delta) ** (d - 1))
+        g = np.maximum(r, delta)
+        g **= d - 1
+        g *= sigma_d
+        np.reciprocal(g, out=g)
         if pert is not None:
-            g = g - pert.slope(r)
-        return np.divide(g, r, out=np.zeros_like(r), where=apart)
+            g -= pert.slope(r)
+        np.divide(g, r, out=r, where=apart)
 
     # u_i = sum_j c_ij w_j (x_i - x_j): both sums from one product with [w x, w]
     sums, coincident = _pair_sum(pos, coef, np.column_stack([w[:, None] * pos, w]))
@@ -238,11 +260,16 @@ def discrete_energy(cloud, V=None, W=None):
     def coef(r, apart):
         # pair energy: regularized Newton kernel, plus the perturbation in
         # attraction mode
-        rr = np.maximum(r, delta)
-        vals = -np.log(rr) / (2.0 * np.pi) if d == 2 else coeff * rr ** (2 - d)
-        if pert is not None:
-            vals += pert.value(r)
-        return np.where(apart, vals, 0.0)
+        extra = pert.value(r) if pert is not None else None
+        np.maximum(r, delta, out=r)
+        if d == 2:
+            np.log(r, out=r)
+            r /= -2.0 * np.pi
+        else:
+            r **= 2 - d
+            r *= coeff
+        if extra is not None:
+            r += extra
 
     rows, _ = _pair_sum(pos, coef, w)
     E = 0.5 * float(w @ rows)
@@ -254,10 +281,6 @@ def discrete_energy(cloud, V=None, W=None):
     Q = float(np.sum(w * np.sum(pos * pos, axis=1)))
     E += (cloud.m0 * Q - float(S @ S)) / (2.0 * d)
     return float(E)
-
-
-def center_of_mass(cloud):
-    return (cloud.weights @ cloud.positions) / cloud.m0
 
 
 def cloud_support_radius(cloud):

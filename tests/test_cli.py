@@ -184,8 +184,12 @@ def test_ini_syntax_errors_exit_2(tmp_path, capsys, text):
     ("simulate_particles",
      "[run]\nmode = simulate_particles\n\n[particles]\nmode = attracton\n"),
     ("validate", "[run]\nmode = validate\n\n[validate]\ncheck = both\n"),
+    ("steady", "[run]\nmode = steady\n\n[solver]\ncrossing_policy = merj\n"),
+    ("simulate_radial",
+     "[run]\nmode = simulate_radial\n\n[solver]\ncrossing_policy = merj\n"),
 ], ids=["unknown-key", "unknown-section", "empty-unknown-section",
-        "default-section", "particle-mode", "check"])
+        "default-section", "particle-mode", "check", "crossing-policy-steady",
+        "crossing-policy-radial"])
 def test_unknown_names_exit_2(tmp_path, capsys, mode, text):
     # rejected while reading the config, before any artifact is written
     ini = _write_ini(tmp_path / "bad.ini", text)
@@ -193,6 +197,20 @@ def test_unknown_names_exit_2(tmp_path, capsys, mode, text):
     assert main([mode, "--config", ini, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: unknown " in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["n = 0", "n = -3", "rk_order = 3"])
+def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
+    # checked before the output directory exists (n = 0 used to end in a
+    # ZeroDivisionError traceback with exit 1)
+    ini = _write_ini(tmp_path / "p.ini", "[run]\nmode = simulate_particles\n\n"
+                     f"[particles]\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["simulate_particles", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: [particles] " in err
     assert "reason: invalid solver config" in err
     assert not out.exists()
 
@@ -262,6 +280,8 @@ _CONFIGS = st.builds(ExperimentConfig, **{
        if f.type in _BY_TYPE},
     **{name: st.sampled_from(choices) for name, choices in CHOICES.items()},
     "m0": st.floats(min_value=1e-300, allow_infinity=False),
+    "n_particles": st.integers(1, 10**9),
+    "particle_rk_order": st.sampled_from((2, 4)),
     "epsilon": st.none() | _FINITE,
     "gamma_target": st.none() | _FINITE,
     "rho0": st.just({}) | _RHO0,

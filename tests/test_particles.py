@@ -11,6 +11,7 @@ from repelflow import (Dimension, uniform_ball, build_steady_state, quadratic,
                        discrete_energy, save_cloud, load_cloud,
                        cloud_support_radius, default_regularization,
                        newton_grad)
+from repelflow import particles
 from repelflow.particles import advance
 from repelflow.errors import ConfigError, DivergenceError, ResolutionWarning
 
@@ -95,6 +96,15 @@ def test_pair_sums_match_brute_force(dim, mode):
     assert discrete_energy(cloud, **fields) == pytest.approx(E_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mode", ["confinement", "attraction"])
+def test_pair_sums_match_brute_force_across_blocks(monkeypatch, dim, mode):
+    # blocks of 16 rows split N = 60 into four strips, so the transposed
+    # products of the off-diagonal parts carry most of the pairs
+    monkeypatch.setattr(particles, "_chunk_size", lambda n: 16)
+    test_pair_sums_match_brute_force(dim, mode)
+
+
 def test_newton_momentum_free():
     rng = np.random.default_rng(11)
     d = Dimension(3)
@@ -174,6 +184,32 @@ def test_coincident_pair_warns():
                           delta_reg=1e-3, dim=d)
     with pytest.warns(ResolutionWarning):
         velocity_field(cloud, V=zero_potential())
+
+
+def test_coincident_pairs_counted_once(monkeypatch):
+    # duplicates inside one block of 16 (3, 5), across blocks (2, 30) and a
+    # triple spanning two blocks (20, 21, 37): 1 + 1 + 3 unordered pairs
+    rng = np.random.default_rng(4)
+    pos = rng.normal(size=(40, 3))
+    pos[5] = pos[3]
+    pos[30] = pos[2]
+    pos[21] = pos[37] = pos[20]
+    cloud = ParticleCloud(positions=pos, weights=rng.uniform(0.5, 1.0, size=40),
+                          delta_reg=1e-2, dim=Dimension(3))
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs"):
+        u_one_block = velocity_field(cloud, V=zero_potential())
+    monkeypatch.setattr(particles, "_chunk_size", lambda n: 16)
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs"):
+        u = velocity_field(cloud, V=zero_potential())
+    # coincident pairs drop out of the sum, so the field stays finite
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u - u_one_block)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_sample_radial_needs_a_particle():
+    steady = build_steady_state(quadratic(), Dimension(2), 2 * math.pi)
+    with pytest.raises(ConfigError):
+        sample_radial(steady.density, 0, np.random.default_rng(0))
 
 
 def test_divergence_guard():
