@@ -47,17 +47,21 @@ _GAUSS_NODES = 8
 # pairs with 2 min(r, s) under this many knot spacings skip the table, whose
 # difference G(r+s) - G(|r-s|) loses digits to cancellation as r s -> 0
 _SHORT_SPACINGS = 128
+# fewest knots of the fixed-point grid: a density needs two
+MIN_GRID = 2
 
 
-def _sphere_mean(f, dim, t_max):
+def _sphere_mean(fs, dim, t_max):
     """Kernel mean(r, s): the average of f(|x - y|) over |y| = s at |x| = r.
 
-    Valid for broadcastable r, s >= 0 with r + s <= t_max.  In d = 3 the
-    average is exactly (G(r+s) - G(|r-s|)) / (2 r s) with G' = t f(t); G is
-    built once here from Gauss pieces on each knot interval and fitted by a
-    cubic Hermite spline with the exact slope t f(t).  Short intervals,
-    where that difference cancels, are integrated directly; r = s = 0 gives
-    f(0).  Other d use 64-node Gauss-Legendre in the angle.
+    Valid for broadcastable r, s >= 0 with r + s <= t_max; returns one row
+    per f in ``fs``, shape (len(fs),) + broadcast shape.  In d = 3 the
+    average is exactly (G(r+s) - G(|r-s|)) / (2 r s) with G' = t f(t); one
+    table of every G is built here from Gauss pieces on each knot interval
+    and fitted by a cubic Hermite spline with the exact slope t f(t).
+    Short intervals, where that difference cancels, are integrated
+    directly; r = s = 0 gives f(0).  Other d use 64-node Gauss-Legendre in
+    the angle.
     """
     if dim.d != 3:
         # Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in
@@ -70,7 +74,7 @@ def _sphere_mean(f, dim, t_max):
         def angular(r, s):
             r, s = r[..., None], s[..., None]
             arg = np.sqrt(np.maximum(r ** 2 + s ** 2 - 2.0 * r * s * cos_t, 0.0))
-            return scale * (np.asarray(f(arg)) @ tw)
+            return np.stack([scale * (np.asarray(f(arg)) @ tw) for f in fs])
         return angular
 
     x, w = leggauss(_GAUSS_NODES)
@@ -78,20 +82,25 @@ def _sphere_mean(f, dim, t_max):
     knots = np.linspace(0.0, t_max or 1.0, _G_KNOTS)
     h = knots[1]
     nodes = knots[:-1, None] + 0.5 * h * (x + 1.0)
-    pieces = (nodes * f(nodes)) @ w * (0.5 * h)
-    G = CubicHermiteSpline(knots, np.concatenate(([0.0], np.cumsum(pieces))),
-                           knots * f(knots))
+    pieces = [(nodes * f(nodes)) @ w * (0.5 * h) for f in fs]
+    G = CubicHermiteSpline(
+        knots, np.column_stack([np.concatenate(([0.0], np.cumsum(p))) for p in pieces]),
+        np.column_stack([knots * f(knots) for f in fs]))
 
     def identity(r, s):
         lo, hi = np.minimum(r, s), np.maximum(r, s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray((G(hi + lo) - G(hi - lo)) / (2.0 * hi * lo))
+            # one contiguous row per f, so each row is a plain array downstream
+            out = (np.ascontiguousarray(np.moveaxis(G(hi + lo) - G(hi - lo), -1, 0))
+                   / (2.0 * hi * lo))
         short = 2.0 * lo < _SHORT_SPACINGS * h
         lo, hi = lo[short], hi[short]
         # int t f(t) dt over [hi - lo, hi + lo] / (2 r s), nodes t = hi + lo x
         q = np.divide(lo, hi, out=np.zeros_like(lo), where=hi > 0.0)
-        out[short] = 0.5 * (f(hi[:, None] + lo[:, None] * x) * (1.0 + q[:, None] * x)) @ w
-        return out[()]
+        for k, f in enumerate(fs):
+            out[k, ...][short] = 0.5 * (f(hi[:, None] + lo[:, None] * x)
+                                        * (1.0 + q[:, None] * x)) @ w
+        return out
     return identity
 
 
@@ -112,7 +121,7 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s_hi = min(rho.grid[-1], rho.support_radius)
-    mean = _sphere_mean(f, dim, float(np.max(r, initial=0.0)) + s_hi)
+    mean = _sphere_mean((f,), dim, float(np.max(r, initial=0.0)) + s_hi)
 
     def evaluate(n):
         s = np.linspace(0.0, s_hi, n)
@@ -122,7 +131,7 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
         # r-blocks keep the angular rule's (block, n_s, 64) arrays under ~30 MB
         block = max(1, 4_000_000 // (n * _THETA_NODES))
         for lo in range(0, r.size, block):
-            out[lo:lo + block] = simpson(weight * mean(r[lo:lo + block, None], s),
+            out[lo:lo + block] = simpson(weight * mean(r[lo:lo + block, None], s)[0],
                                          x=s, axis=1)
         return dim.sphere_area * out
 
@@ -148,7 +157,7 @@ def shell_mean(f, r, s, dim):
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     t_max = float(np.max(r, initial=0.0) + np.max(s, initial=0.0))
-    return _sphere_mean(f, dim, t_max)(r, s)
+    return _sphere_mean((f,), dim, t_max)(r, s)[0]
 
 
 @dataclass
@@ -293,6 +302,9 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     if dim.d < 2:
         raise ConfigError("attraction steady states need d >= 2",
                           reason="invalid dimension")
+    if n_grid < MIN_GRID:
+        raise ConfigError(f"n_grid must be at least {MIN_GRID}",
+                          reason="invalid solver config")
     eps = W.epsilon
     report = check_smallness(eps, dim)
     if not report.passed:
@@ -411,10 +423,11 @@ def effective_attraction_potential(state, W, n_grid=48):
         lap = np.full_like(grid, m0)
         value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d)
     else:
-        lap_shells = shell_mean(lambda z: pert.laplacian(z, dim), grid[:, None],
-                                R[None, :], dim)
+        # one kernel, so the d = 3 table of G is built once for both fields
+        mean = _sphere_mean((lambda z: pert.laplacian(z, dim), pert.value), dim,
+                            r_hi + float(R[-1]))
+        lap_shells, val_shells = mean(grid[:, None], R[None, :])
         lap = m0 + lap_shells @ m
-        val_shells = shell_mean(pert.value, grid[:, None], R[None, :], dim)
         value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + val_shells @ m
     slope, second = _field_tables(grid, lap, dim, m0)
     return table_potential(grid, value, slope, second, name="attraction field")

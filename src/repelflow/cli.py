@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -26,12 +27,13 @@ from .potentials import (RadialPotential, AttractionPotential, quadratic,
 from .density import (uniform_ball, annulus, line_interval, l1_distance,
                       newtonian_radial_potential)
 from .steady import build_steady_state
-from .lagrangian import (CROSSING_POLICIES, EvolutionConfig, init_lagrangian,
-                         evolve, reconstruct_density, support_radius)
+from .lagrangian import (CROSSING_POLICIES, MIN_QUANTILES, EvolutionConfig,
+                         init_lagrangian, evolve, reconstruct_density,
+                         support_radius)
 from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius)
-from .attraction import (solve_attraction_steady, attraction_energy,
+from .attraction import (MIN_GRID, solve_attraction_steady, attraction_energy,
                          check_smallness, spherical_mean_convolve)
 from .errors import SolverError, ConfigError, PotentialError
 
@@ -111,9 +113,13 @@ class ExperimentConfig:
         if self.m0 <= 0.0:
             raise ConfigError("m0 must be positive",
                               reason="invalid solver config")
-        if self.n_particles < 1:
-            raise ConfigError("[particles] n must be at least 1",
-                              reason="invalid solver config")
+        for setting, count, least in (
+                ("[solver] n_quantiles", self.n_quantiles, MIN_QUANTILES),
+                ("[attraction] n_grid", self.attraction_n_grid, MIN_GRID),
+                ("[particles] n", self.n_particles, 1)):
+            if count < least:
+                raise ConfigError(f"{setting} must be at least {least}",
+                                  reason="invalid solver config")
         if self.particle_rk_order not in (2, 4):
             raise ConfigError("[particles] rk_order must be 2 or 4",
                               reason="invalid solver config")
@@ -121,6 +127,16 @@ class ExperimentConfig:
             if spec and spec.get("kind", "ball") not in RHO0_KINDS:
                 raise ConfigError(f"unknown rho0 kind {spec['kind']!r}",
                                   reason="invalid solver config")
+        for section, values in _ini_entries(self):
+            for key, value in values.items():
+                for text in value if isinstance(value, tuple) else (value,):
+                    if isinstance(text, str) and (text != text.strip()
+                                                  or _INLINE_COMMENT.search(text)):
+                        raise ConfigError(
+                            f"[{section}] {key} = {text!r} cannot be written to "
+                            "config_used.ini: a string may not start or end with "
+                            "whitespace, start with '#' or ';', or hold ' #' or ' ;'",
+                            reason="invalid solver config")
 
 
 def _load_input(path, load):
@@ -250,6 +266,19 @@ _SPEC_SECTIONS = {section for section, entries in INI_LAYOUT
                   if isinstance(entries, dict)}
 
 
+# where the reader sees an inline comment: '#' or ';' at the start of a
+# value or after whitespace
+_INLINE_COMMENT = re.compile(r"(^|\s)[#;]")
+
+
+def _ini_entries(cfg):
+    """(section, {key: value}) for every section of the layout, in file order."""
+    for section, keys in _SECTIONS.items():
+        record = (getattr(cfg, section) or {}) if section in _SPEC_SECTIONS \
+            else vars(cfg)
+        yield section, {key: record.get(name) for key, (name, _) in keys.items()}
+
+
 def _ini_value(value):
     """One field as INI text; None is the empty value, read back as the default."""
     if value is None:
@@ -301,11 +330,8 @@ def config_from_ini(path):
 def config_to_ini(cfg, path):
     """Write every field of the config; reading the file back replays the run."""
     cp = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SECTIONS.items():
-        record = (getattr(cfg, section) or {}) if section in _SPEC_SECTIONS \
-            else vars(cfg)
-        cp[section] = {key: _ini_value(record.get(name))
-                       for key, (name, _) in keys.items()}
+    for section, values in _ini_entries(cfg):
+        cp[section] = {key: _ini_value(value) for key, value in values.items()}
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -384,12 +410,19 @@ def recipe(name):
 
 # -- artifact writers --------------------------------------------------------
 
+# rows formatted per write: one '%' per block keeps the text of a whole
+# file out of memory
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header, columns):
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("# " + ",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[lo:lo + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):

@@ -191,10 +191,13 @@ def newtonian_radial_potential(density):
 
     which has Phi(inf) = 0 for d >= 3 and the exact single-layer value at
     every radius for d = 2 (so differences need no anchoring convention).
+    For d = 1 the grid holds signed x and N(x) = -|x|/2, so
+
+        d  = 1:  Phi(x) = -1/2 int |x - y| rho(y) dy,
+
+    split at y = x into prefix and suffix moments.
     """
     dim = density.dim
-    if dim.d < 2:
-        raise ConfigError("radial potential profile needs d >= 2", reason="invalid dimension")
     r = density.grid
     M = density.cumulative_mass()
     if dim.d == 2:
@@ -203,10 +206,11 @@ def newtonian_radial_potential(density):
         with np.errstate(divide="ignore", invalid="ignore"):
             head = np.where(r > 0.0, -np.log(np.where(r > 0, r, 1.0)) * M / (2.0 * np.pi), 0.0)
         return head - outer_tail
-    c = dim.newton_coeff
-    cells1 = _cell_power_moments(r, density.values, 1)
-    moment = np.concatenate([[0.0], np.cumsum(cells1)])
+    moment = np.concatenate([[0.0], np.cumsum(_cell_power_moments(r, density.values, 1))])
     tail = moment[-1] - moment
+    if dim.d == 1:
+        return -0.5 * (r * M - moment + tail - r * (M[-1] - M))
+    c = dim.newton_coeff
     head = np.zeros_like(r)
     head[r > 0.0] = c * r[r > 0.0] ** (2 - dim.d) * M[r > 0.0]
     return head + c * dim.sphere_area * tail
@@ -214,18 +218,8 @@ def newtonian_radial_potential(density):
 
 def radial_energy(density, V):
     """E[rho] = 1/2 int Phi_N rho + int V rho for a radial profile."""
-    dim = density.dim
-    if dim.d == 1:
-        x, rho = density.grid, density.values
-        M = density.cumulative_mass()
-        moment = np.concatenate([[0.0], np.cumsum(_cell_power_moments(x, rho, 1))])
-        # int |x-y| rho(y) dy split at y = x into prefix and suffix moments
-        conv = x * M - moment + (moment[-1] - moment) - x * (M[-1] - M)
-        phi = -0.5 * conv
-        integrand = (0.5 * phi + V.value(x)) * rho
-    else:
-        phi = newtonian_radial_potential(density)
-        integrand = (0.5 * phi + V.value(density.grid)) * density.values
+    phi = newtonian_radial_potential(density)
+    integrand = (0.5 * phi + V.value(density.grid)) * density.values
     return float(density._quadrature(integrand))
 
 
@@ -244,7 +238,12 @@ def l1_distance(a, b):
     merged = np.unique(np.concatenate(knots))
     if d >= 2:
         merged = merged[merged >= 0.0]
-    merged = np.unique(np.concatenate([merged, 0.5 * (merged[1:] + merged[:-1])]))
+    # interleave the sorted knots with their midpoints; a midpoint of two
+    # adjacent floats rounds onto a knot and is dropped
+    fine = np.empty(2 * len(merged) - 1)
+    fine[0::2] = merged
+    fine[1::2] = 0.5 * (merged[1:] + merged[:-1])
+    merged = fine[np.concatenate(([True], np.diff(fine) > 0.0))]
     diff = np.abs(a(merged) - b(merged))
     if d == 1:
         return float(np.trapezoid(diff, merged))

@@ -37,16 +37,30 @@ __all__ = [
 
 
 def shell_energy(state, V):
-    """Energy of the quantile shells: exact Lyapunov function of the flow."""
+    """Energy of the quantile shells: exact Lyapunov function of the flow.
+
+    The radii increase strictly, so each pair sum runs over the shells
+    below shell i through prefix sums, in O(N):
+
+        d >= 2:  1/2 sum_ij m_i m_j N(max(R_i, R_j)) = sum_i m_i N(R_i) (M_<i + m_i/2)
+        d  = 1:  1/2 sum_ij m_i m_j (-|R_i - R_j|/2) = -1/2 sum_i m_i (R_i M_<i - S_<i)
+
+    with M_<i and S_<i the sums of m_j and m_j R_j over j < i.
+    """
     R, m = state.radii, state.cell_masses
     d = state.dim.d
+
+    def below(x):
+        return np.concatenate(([0.0], np.cumsum(x)[:-1]))
+
     if d == 1:
-        K = -0.5 * np.abs(R[:, None] - R[None, :])
-    elif d == 2:
-        K = -np.log(np.maximum.outer(R, R)) / (2.0 * np.pi)
+        interaction = -0.5 * float(m @ (R * below(m) - below(m * R)))
     else:
-        K = state.dim.newton_coeff * np.maximum.outer(R, R) ** (2 - d)
-    interaction = 0.5 * float(m @ K @ m)
+        if d == 2:
+            K = -np.log(R) / (2.0 * np.pi)
+        else:
+            K = state.dim.newton_coeff * R ** (2 - d)
+        interaction = float((m * K) @ (below(m) + 0.5 * m))
     return interaction + float(np.sum(m * V.value(R)))
 
 

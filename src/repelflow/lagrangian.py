@@ -71,6 +71,8 @@ class LagrangianState:
 
 
 CROSSING_POLICIES = ("reject_step", "merge")
+# fewest quantiles a state may carry: reconstruct_density needs them
+MIN_QUANTILES = 16
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,9 @@ def init_lagrangian(rho0, N, dim, dt_init=0.01):
     warning; the quantile masses are exact midpoints, so refinement never
     changes the represented mass.
     """
-    if N < 16:
-        raise ConfigError("need at least 16 quantiles", reason="invalid solver config")
+    if N < MIN_QUANTILES:
+        raise ConfigError(f"need at least {MIN_QUANTILES} quantiles",
+                          reason="invalid solver config")
     m0 = rho0.mass
     if m0 <= 0.0:
         raise ConfigError("initial density has no mass", reason="invalid density")
@@ -300,8 +303,8 @@ def reconstruct_density(state, refine=2):
     ResolutionWarning fires beyond 20%.  Edge cells are closed at radii
     that hold exactly the outstanding half-cell masses.
     """
-    if state.n < 16:
-        raise ConfigError("reconstruction needs at least 16 quantiles",
+    if state.n < MIN_QUANTILES:
+        raise ConfigError(f"reconstruction needs at least {MIN_QUANTILES} quantiles",
                           reason="invalid solver config")
     d = state.dim.d
     R, p = state.radii, state.densities

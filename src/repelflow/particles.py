@@ -117,6 +117,12 @@ def sample_radial(density, N, rng, rho_ref=None):
     return cloud
 
 
+# rows of a strip per coef call: its temporaries then stay in cache, and
+# the strip stays the only strip-sized array, so freeing them does not
+# make glibc trim the heap and fault it back in on every call
+_COEF_ROWS = 16
+
+
 def _chunk_size(n):
     # rows per strip: at most 4M distances, and at most 128 rows, so the
     # in-place coefficient passes stay in cache and the square blocks,
@@ -128,10 +134,10 @@ def _pair_sum(pos, coef, rhs):
     """Row sums sum_j c_ij rhs_j over all pairs, each unordered pair once.
 
     Block a of rows builds the strip r_ij = |x_i - x_j| for j >= a only.
-    coef(r, apart) overwrites the strip in place with the symmetric pair
-    coefficients c_ij wherever the mask apart holds; the rest, self and
-    coincident pairs (r < 1e-14, no direction), is then set to 0.  The
-    strip adds C rhs to its own rows and, by symmetry, C^T rhs to the later
+    coef(r, apart), called on slices of _COEF_ROWS rows, overwrites them
+    in place with the symmetric pair coefficients c_ij wherever the mask
+    apart holds; the rest of the strip, self and coincident pairs
+    (r < 1e-14, no direction), is then set to 0.  The strip adds C rhs to its own rows and, by symmetry, C^T rhs to the later
     rows; its leading square block already holds both orders of its pairs.
     Returns the sums and the number of coincident ordered pairs.
     """
@@ -147,7 +153,8 @@ def _pair_sum(pos, coef, rhs):
         near = r.size - np.count_nonzero(apart)
         near_square = (b - a) ** 2 - np.count_nonzero(apart[:, :b - a])
         coincident += 2 * near - near_square - (b - a)
-        coef(r, apart)
+        for lo in range(0, b - a, _COEF_ROWS):
+            coef(r[lo:lo + _COEF_ROWS], apart[lo:lo + _COEF_ROWS])
         r[~apart] = 0.0
         out[a:b] += r @ rhs[a:]
         out[b:] += r[:, b - a:].T @ rhs[a:b]

@@ -122,11 +122,9 @@ def build_steady_state(V, dim, m0, n=8192):
             f"steady mass off by {abs(density.mass - m0) / m0:.2e} relative",
             reason="invalid potential")
     E = radial_energy(density, V)
-    if dim.d == 1:
-        plateau = float(V.value(np.asarray(0.0)))  # placeholder level, unused downstream
-    else:
-        phi = newtonian_radial_potential(density)
-        plateau = float(phi[0] + V.value(grid[0]))
+    # phi_N + V is constant on the support; read it at the first knot
+    phi = newtonian_radial_potential(density)
+    plateau = float(phi[0] + V.value(grid[0]))
     return SteadyState(density=density, R_inf=R, E_inf=E,
                        potential_plateau=plateau, m0=m0)
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
-                           RHO0_KINDS, RHO0_KEYS, main)
+                           RHO0_KINDS, RHO0_KEYS, main, _write_csv,
+                           _CSV_BLOCK_ROWS)
 from repelflow.diagnostics import DiagnosticSeries
 from repelflow.errors import ConfigError
 
@@ -72,6 +73,39 @@ param = 1.0
     # the plateau is N*rho + V on the support
     inside = np.abs(phi[r <= 0.9] - summary["potential_plateau"])
     assert np.max(inside) < 1e-6
+
+    # d = 1: rho = V'' = 1 on [-1, 1] and N*rho + V = -R^2/2 on it
+    ini = _write_ini(tmp_path / "line.ini", """
+[run]
+mode = steady
+
+[problem]
+dimension = 1
+m0 = 2.0
+""")
+    out = tmp_path / "line"
+    assert main(["steady", "--config", ini, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["R_inf"] == pytest.approx(1.0, abs=1e-8)
+    assert summary["potential_plateau"] == pytest.approx(-0.5, abs=1e-8)
+    x, rho, phi = np.loadtxt(out / "steady.csv", delimiter=",", unpack=True)
+    assert x[0] == pytest.approx(-1.0, abs=1e-8)
+    assert np.max(np.abs(rho - 1.0)) < 1e-6
+    assert np.max(np.abs(phi - summary["potential_plateau"])) < 1e-6
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_ROWS + 1])
+def test_csv_rows_match_the_per_value_format(tmp_path, n_rows):
+    # block formatting writes the bytes "%.17g" gives value by value
+    awkward = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, np.nan, -np.inf,
+                        -1e-310, 2.0 ** 53, 1.0 / 3.0, 12345.0])
+    columns = [np.resize(np.roll(awkward, k), n_rows) for k in range(3)]
+    path = tmp_path / "rows.csv"
+    _write_csv(path, ("a", "b", "c"), columns)
+    rows = np.column_stack(columns)
+    expect = "# a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in rows)
+    assert path.read_text() == expect
 
 
 def test_validate_flat_potential_exits_2(tmp_path, capsys):
@@ -215,6 +249,48 @@ def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, line", [
+    ("simulate_radial", "[solver]\nn_quantiles = 10"),
+    ("attract_steady", "[attraction]\nn_grid = 1"),
+])
+def test_counts_below_the_solver_minimum_exit_2(tmp_path, capsys, mode, line):
+    # the count the solver needs is checked before any artifact is written,
+    # and the message names the setting (n_grid = 1 used to read "invalid density")
+    ini = _write_ini(tmp_path / "c.ini", f"[run]\nmode = {mode}\n\n{line}\n")
+    out = tmp_path / "o"
+    assert main([mode, "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    section, key = line.split("\n")[0], line.split("\n")[1].split(" =")[0]
+    assert f"error: {section} {key} must be at least " in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["runs/a #1", "runs/a ;1", "#runs", ";runs",
+                                  " runs/a", "runs/a ", "runs/a\t#1"])
+def test_strings_the_ini_file_cannot_carry_exit_2(tmp_path, monkeypatch,
+                                                  capsys, text):
+    # the reader would cut the value at the comment or strip its edges, so
+    # config_used.ini would replay into another directory
+    monkeypatch.chdir(tmp_path)
+    ini = _write_ini(tmp_path / "s.ini", "[run]\nmode = steady\n")
+    assert main(["steady", "--config", ini, "--out", text]) == 2
+    err = capsys.readouterr().err
+    assert f"error: [run] out = {text!r} cannot be written" in err
+    assert "reason: invalid solver config" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ini"]
+    with pytest.raises(ConfigError, match=r"\[rho0\] path"):
+        ExperimentConfig(rho0={"kind": "cloud", "path": text}).validate()
+    with pytest.raises(ConfigError, match=r"\[rates\] quantity"):
+        ExperimentConfig(rate_quantities=("l1", text)).validate()
+
+
+def test_hash_and_semicolon_inside_a_word_round_trip(tmp_path):
+    cfg = ExperimentConfig(out="runs/a#1;b", potential_table="t;1.csv")
+    config_to_ini(cfg, tmp_path / "c.ini")
+    assert config_from_ini(tmp_path / "c.ini") == cfg
+
+
 @pytest.mark.parametrize("mode, text", [
     ("steady", "[potential]\nkind = table\ntable = {missing}\n"),
     ("simulate_particles", "[rho0]\nkind = cloud\npath = {missing}\n"),
@@ -266,7 +342,7 @@ series = {run_dir}
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # '%' must survive the reader's interpolation
 _PATHS = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                 "0123456789_./-%", min_size=1, max_size=24)
+                 "0123456789_./-% #;", min_size=1, max_size=24)
 _BY_TYPE = {float: _FINITE, int: st.integers(-10**9, 10**9),
             bool: st.booleans(), str: _PATHS,
             tuple: st.lists(st.sampled_from(("energy_gap", "l1", "support_gap")),
@@ -280,6 +356,8 @@ _CONFIGS = st.builds(ExperimentConfig, **{
        if f.type in _BY_TYPE},
     **{name: st.sampled_from(choices) for name, choices in CHOICES.items()},
     "m0": st.floats(min_value=1e-300, allow_infinity=False),
+    "n_quantiles": st.integers(16, 10**9),
+    "attraction_n_grid": st.integers(2, 10**9),
     "n_particles": st.integers(1, 10**9),
     "particle_rk_order": st.sampled_from((2, 4)),
     "epsilon": st.none() | _FINITE,
@@ -292,9 +370,17 @@ _CONFIGS = st.builds(ExperimentConfig, **{
 @settings(max_examples=150)
 @given(cfg=_CONFIGS)
 def test_any_config_survives_the_ini_round_trip(tmp_path_factory, cfg):
+    # a config either comes back equal or is refused by validate, as a run
+    # refuses it before writing config_used.ini
     path = tmp_path_factory.getbasetemp() / "round_trip.ini"
     config_to_ini(cfg, path)
-    assert config_from_ini(path) == cfg
+    try:
+        back = config_from_ini(path)
+    except ConfigError:
+        back = None
+    if back != cfg:
+        with pytest.raises(ConfigError):
+            cfg.validate()
 
 
 _KEYS = {section: [entry if isinstance(entry, str) else entry[0]

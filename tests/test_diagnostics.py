@@ -201,3 +201,28 @@ def test_series_validation_catches_energy_rise():
                               l1_dist=np.zeros(3))
     with pytest.raises(NumericsError):
         series.validate()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_shell_energy_matches_double_sum(d):
+    # the prefix-sum form against 1/2 sum_ij m_i m_j N(R_i - R_j) term by term
+    rng = np.random.default_rng(d)
+    n = 150
+    lo = -2.0 if d == 1 else 0.05
+    radii = np.sort(rng.uniform(lo, 3.0, n))
+    masses = rng.uniform(0.1, 1.0, n)
+    dim = Dimension(d)
+    V = quadratic()
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            if d == 1:
+                kernel = -0.5 * abs(radii[i] - radii[j])
+            elif d == 2:
+                kernel = -math.log(max(radii[i], radii[j])) / (2.0 * math.pi)
+            else:
+                kernel = dim.newton_coeff * max(radii[i], radii[j]) ** (2 - d)
+            terms.append(0.5 * masses[i] * masses[j] * kernel)
+    terms += list(masses * V.value(radii))
+    expect = math.fsum(terms)
+    assert shell_energy(_shells(masses, radii, dim), V) == pytest.approx(expect, rel=1e-13)
