@@ -11,6 +11,13 @@ volume).  The smallness conditions on eps = sup |Lap w| that make the
 underlying contraction provable are evaluated verbatim; runs beyond them
 are allowed behind an explicit flag since the sufficient conditions are
 conservative.
+
+Each convolution integrates the sphere mean K(r, s) of the kernel over the
+density's radii s.  K of a smooth kernel is analytic, hence numerically low
+rank: ``spherical_mean_convolve`` reads it from a p x p Chebyshev-Lobatto
+grid whose half-node interpolant certifies it, and evaluates it at every
+(r, s) pair only when no grid up to p = 257 certifies.  The shell sums of
+``shell_mean`` and ``effective_attraction_potential`` evaluate K pointwise.
 """
 
 import warnings
@@ -47,8 +54,35 @@ _GAUSS_NODES = 8
 # pairs with 2 min(r, s) under this many knot spacings skip the table, whose
 # difference G(r+s) - G(|r-s|) loses digits to cancellation as r s -> 0
 _SHORT_SPACINGS = 128
+# Chebyshev-Lobatto grid sizes tried for a convolution's low-rank kernel; each
+# holds the one before it on every other node
+_LOBATTO_SIZES = (17, 33, 65, 129, 257)
+# a grid is certified when the interpolant on its every other node reproduces
+# it at all nodes to this fraction of its largest value
+_CERTIFY_TOL = 1e-13
+# elements per (rows, len(s), 64) array of a blocked kernel evaluation
+_BLOCK_ELEMENTS = 2 ** 15
 # fewest knots of the fixed-point grid: a density needs two
 MIN_GRID = 2
+
+
+def _angular_mean(fs, dim):
+    """Kernel mean(r, s) by 64-node Gauss-Legendre in the angle, any d >= 2.
+
+    Returns one row per f in ``fs`` for broadcastable r, s >= 0.
+    """
+    # Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in
+    x, w = leggauss(_THETA_NODES)
+    theta = 0.5 * np.pi * (x + 1.0)
+    tw = 0.5 * np.pi * w * np.sin(theta) ** (dim.d - 2)
+    cos_t = np.cos(theta)
+    scale = Dimension(dim.d - 1).sphere_area / dim.sphere_area
+
+    def angular(r, s):
+        r, s = r[..., None], s[..., None]
+        arg = np.sqrt(np.maximum(r ** 2 + s ** 2 - 2.0 * r * s * cos_t, 0.0))
+        return np.stack([scale * (np.asarray(f(arg)) @ tw) for f in fs])
+    return angular
 
 
 def _sphere_mean(fs, dim, t_max):
@@ -60,22 +94,10 @@ def _sphere_mean(fs, dim, t_max):
     table of every G is built here from Gauss pieces on each knot interval
     and fitted by a cubic Hermite spline with the exact slope t f(t).
     Short intervals, where that difference cancels, are integrated
-    directly; r = s = 0 gives f(0).  Other d use 64-node Gauss-Legendre in
-    the angle.
+    directly; r = s = 0 gives f(0).  Other d use the angular rule.
     """
     if dim.d != 3:
-        # Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in
-        x, w = leggauss(_THETA_NODES)
-        theta = 0.5 * np.pi * (x + 1.0)
-        tw = 0.5 * np.pi * w * np.sin(theta) ** (dim.d - 2)
-        cos_t = np.cos(theta)
-        scale = Dimension(dim.d - 1).sphere_area / dim.sphere_area
-
-        def angular(r, s):
-            r, s = r[..., None], s[..., None]
-            arg = np.sqrt(np.maximum(r ** 2 + s ** 2 - 2.0 * r * s * cos_t, 0.0))
-            return np.stack([scale * (np.asarray(f(arg)) @ tw) for f in fs])
-        return angular
+        return _angular_mean(fs, dim)
 
     x, w = leggauss(_GAUSS_NODES)
     # t_max = 0 means r = s = 0 throughout: every pair is short
@@ -104,6 +126,63 @@ def _sphere_mean(fs, dim, t_max):
     return identity
 
 
+def _kernel_rows(mean, r, s):
+    """Yield (rows, mean(r[rows], s)) over blocks of r for one-function kernels.
+
+    A block holds as many rows as keep the angular rule's (rows, len(s), 64)
+    arrays near _BLOCK_ELEMENTS elements, and at least one.
+    """
+    block = max(1, _BLOCK_ELEMENTS // (s.size * _THETA_NODES))
+    for lo in range(0, r.size, block):
+        rows = slice(lo, lo + block)
+        yield rows, mean(r[rows, None], s)[0]
+
+
+def _lobatto(p, hi):
+    """The p Chebyshev-Lobatto nodes on [0, hi], increasing, both ends exact.
+
+    Node 2k of p nodes is bit-identical to node k of (p + 1) / 2.
+    """
+    return 0.5 * hi * (1.0 - np.cos(np.pi * np.arange(p) / (p - 1)))
+
+
+def _barycentric(nodes, t):
+    """Matrix B such that B @ g(nodes) interpolates g at the points t.
+
+    The second-kind barycentric formula for Chebyshev-Lobatto nodes: weights
+    (-1)^k, halved at both ends.  A point on a node reads that node.
+    """
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    diff = t[:, None] - nodes
+    hit = diff == 0.0
+    B = np.divide(w, diff, out=np.zeros_like(diff), where=~hit)
+    on_node = hit.any(axis=1)
+    B[on_node] = hit[on_node]
+    return B / B.sum(axis=1, keepdims=True)
+
+
+def _lowrank_kernel(f, dim, r_hi, s_hi):
+    """Certified Chebyshev-Lobatto grid (x, y, C) of the kernel of f, or None.
+
+    C holds the angular-rule mean(x_i, y_j) on p x p nodes over
+    [0, r_hi] x [0, s_hi], for the first p of _LOBATTO_SIZES at which the
+    interpolant on every other node reproduces C at all nodes to
+    _CERTIFY_TOL of max |C|.  None when no p certifies.
+    """
+    mean = _angular_mean((f,), dim)
+    for p in _LOBATTO_SIZES:
+        # a zero-length side holds one point, which any interval covers
+        x, y = _lobatto(p, r_hi or 1.0), _lobatto(p, s_hi or 1.0)
+        C = np.empty((p, p))
+        for rows, block in _kernel_rows(mean, x, y):
+            C[rows] = block
+        half = _barycentric(x[::2], x) @ C[::2, ::2] @ _barycentric(y[::2], y).T
+        if np.max(np.abs(half - C)) <= _CERTIFY_TOL * np.max(np.abs(C)):
+            return x, y, C
+    return None
+
+
 def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
     """(f * rho)(r) for radial f and rho.
 
@@ -111,28 +190,38 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
 
         sigma_d int rho(s) s^(d-1) mean_(|y|=s) f(|x - y|) ds,   |x| = r,
 
-    with composite Simpson on a uniform s-grid over the support.  In d = 3
-    the sphere mean is the exact identity (G(r+s) - G(|r-s|)) / (2 r s),
-    G' = t f(t), read from one table per call; other d integrate the angle
-    with 64-node Gauss-Legendre.  Doubling the s-grid must move the result
-    by less than 1e-6 relative, else a resolution error is raised.
+    with composite Simpson on a uniform s-grid over the support.  The sphere
+    mean of a smooth f is analytic in (r, s), so it is read from a p x p
+    Chebyshev-Lobatto grid over [0, max r] x [0, s_max] of the angular rule,
+    certified by its half-node interpolant (``_lowrank_kernel``): with
+    barycentric matrices B_r and B_s, the result is
+    sigma_d B_r C simpson(weight B_s^T, s).  When no p up to 257 certifies
+    (a kernel too narrow for the grid), the pointwise kernel runs at every
+    (r, s) pair: in d = 3 the identity (G(r+s) - G(|r-s|)) / (2 r s),
+    G' = t f(t), elsewhere the angular rule.  Doubling the s-grid must move
+    the result by less than 1e-6 relative, else a resolution error is raised.
     """
     if dim.d < 2:
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s_hi = min(rho.grid[-1], rho.support_radius)
-    mean = _sphere_mean((f,), dim, float(np.max(r, initial=0.0)) + s_hi)
+    r_hi = float(np.max(r, initial=0.0))
+    grid = _lowrank_kernel(f, dim, r_hi, s_hi)
+    if grid is None:
+        mean = _sphere_mean((f,), dim, r_hi + s_hi)
+    else:
+        x, y, C = grid
+        left = _barycentric(x, r) @ C
 
     def evaluate(n):
         s = np.linspace(0.0, s_hi, n)
         rho_s = rho(s)
         weight = rho_s * s ** (dim.d - 1)
+        if grid is not None:
+            return dim.sphere_area * (left @ simpson(weight * _barycentric(y, s).T, x=s))
         out = np.empty_like(r)
-        # r-blocks keep the angular rule's (block, n_s, 64) arrays under ~30 MB
-        block = max(1, 4_000_000 // (n * _THETA_NODES))
-        for lo in range(0, r.size, block):
-            out[lo:lo + block] = simpson(weight * mean(r[lo:lo + block, None], s)[0],
-                                         x=s, axis=1)
+        for rows, block in _kernel_rows(mean, r, s):
+            out[rows] = simpson(weight * block, x=s, axis=1)
         return dim.sphere_area * out
 
     out = evaluate(n_s)

@@ -27,9 +27,8 @@ from .potentials import (RadialPotential, AttractionPotential, quadratic,
 from .density import (uniform_ball, annulus, line_interval, l1_distance,
                       newtonian_radial_potential)
 from .steady import build_steady_state
-from .lagrangian import (CROSSING_POLICIES, MIN_QUANTILES, EvolutionConfig,
-                         init_lagrangian, evolve, reconstruct_density,
-                         support_radius)
+from .lagrangian import (MIN_QUANTILES, EvolutionConfig, init_lagrangian,
+                         evolve, reconstruct_density, support_radius)
 from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius)
@@ -46,7 +45,6 @@ POTENTIAL_KINDS = ("quadratic", "quartic", "log-tail", "double-well",
 RHO0_KINDS = ("ball", "annulus", "interval", "cloud")
 
 CHOICES = {"mode": MODES, "potential_kind": POTENTIAL_KINDS,
-           "crossing_policy": CROSSING_POLICIES,
            "particle_mode": ("confinement", "attraction"),
            "check": ("pareto", "compact")}
 
@@ -104,7 +102,17 @@ class ExperimentConfig:
     c_v: float = 1.0
     r0: float = 1.0
 
+    def evolution(self):
+        """The [solver] section as the radial solver's EvolutionConfig."""
+        return EvolutionConfig(dt_init=self.dt_init, dt_min=self.dt_min,
+                               dt_max=self.dt_max, t_end=self.t_end,
+                               rk_order=self.rk_order,
+                               crossing_policy=self.crossing_policy,
+                               snapshot_stride=self.snapshot_stride)
+
     def validate(self):
+        # EvolutionConfig holds the dt order, rk_order and crossing_policy rules
+        self.evolution()
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
@@ -513,11 +521,7 @@ def _run_simulate_radial(cfg, out):
         steady = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     except PotentialError:
         steady = None  # e.g. double-well: no unique reference profile
-    evo = EvolutionConfig(dt_init=cfg.dt_init, dt_min=cfg.dt_min,
-                          dt_max=cfg.dt_max, t_end=cfg.t_end,
-                          rk_order=cfg.rk_order,
-                          crossing_policy=cfg.crossing_policy,
-                          snapshot_stride=cfg.snapshot_stride)
+    evo = cfg.evolution()
     artifacts, summary = [], {"mode": "simulate_radial", "d": dim.d,
                               "m0": cfg.m0, "t_end": cfg.t_end}
     finals = []

@@ -93,7 +93,8 @@ class EvolutionConfig:
         if self.rk_order not in (2, 4):
             raise ConfigError("rk_order must be 2 or 4", reason="invalid solver config")
         if self.crossing_policy not in CROSSING_POLICIES:
-            raise ConfigError("crossing_policy must be reject_step or merge",
+            raise ConfigError(f"unknown crossing_policy {self.crossing_policy!r}; "
+                              f"choices: {', '.join(CROSSING_POLICIES)}",
                               reason="invalid solver config")
 
 

@@ -103,13 +103,14 @@ def solve_support_radius(V, dim, m0, tol=1e-10, r_max=1e6):
 def build_steady_state(V, dim, m0, n=8192):
     """Profile Lap V on the support ball selected by the mass equation.
 
-    The density grid covers exactly [0, R_inf] (for d = 1, [-R, R]), so the
-    sharp support edge never sits inside a quadrature cell; n = 8192 keeps
-    the piecewise-linear mass of curved profiles within 1e-8 relative.
+    The density grid covers exactly [0, R_inf] with n cells (for d = 1,
+    [-R, R] with 2n cells, the same spacing), so the sharp support edge
+    never sits inside a quadrature cell; n = 8192 keeps the piecewise-linear
+    mass of curved profiles within 1e-8 relative.
     """
     R = solve_support_radius(V, dim, m0)
     if dim.d == 1:
-        grid = np.linspace(-R, R, n + 1)
+        grid = np.linspace(-R, R, 2 * n + 1)
     else:
         grid = np.linspace(0.0, R, n + 1)
     values = V.laplacian(grid, dim)

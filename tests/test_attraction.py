@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from repelflow import (Dimension, uniform_ball, AttractionPotential,
                        spherical_mean_convolve, shell_mean, check_smallness,
                        solve_attraction_steady, effective_attraction_potential,
                        attraction_energy, init_lagrangian, verify_steady)
+from repelflow.attraction import _barycentric, _lobatto, _lowrank_kernel, _sphere_mean
 from repelflow.errors import ConfigError, ResolutionError, ResolutionWarning
 
 
@@ -81,6 +83,67 @@ def test_resolution_gate_trips_on_needle():
         rho = uniform_ball(dim, 1.0, 1.0, n=101)
         with pytest.raises(ResolutionError):
             spherical_mean_convolve(needle, rho, dim, np.array([0.5]), n_s=17)
+
+
+def test_barycentric_matrix_interpolates_polynomials():
+    # a polynomial of degree p - 1 is its own interpolant on p Lobatto nodes,
+    # and a point on a node reads that node alone
+    rng = np.random.default_rng(3)
+    nodes = _lobatto(17, 2.0)
+    poly = np.polynomial.Chebyshev(rng.normal(size=17), domain=[0.0, 2.0])
+    t = np.concatenate([nodes[[0, 5, -1]], rng.uniform(0.0, 2.0, 50)])
+    B = _barycentric(nodes, t)
+    assert np.array_equal(B[:3], np.eye(17)[[0, 5, -1]])
+    assert np.max(np.abs(B @ poly(nodes) - poly(t))) <= 1e-13 * np.max(np.abs(poly(t)))
+    # every other node of 2p - 1 is a node of p, bit for bit
+    assert np.array_equal(_lobatto(33, 2.0)[::2], nodes)
+
+
+def _pointwise_convolve(f, rho, dim, r, n_s=1025):
+    """The Simpson s-integral of the pointwise kernel at every (r, s) pair."""
+    s_hi = min(rho.grid[-1], rho.support_radius)
+    s = np.linspace(0.0, s_hi, n_s)
+    mean = _sphere_mean((f,), dim, float(np.max(r)) + s_hi)(r[:, None], s)[0]
+    return dim.sphere_area * simpson(rho(s) * s ** (dim.d - 1) * mean, x=s, axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lowrank_convolution_matches_pointwise_kernel(d):
+    # the bump's fields on the w = 0 ball, over the fixed point's search grid
+    dim = Dimension(d)
+    bump = AttractionPotential.gaussian_bump(dim, 0.01).perturbation
+    R = dim.ball_volume ** (-1.0 / d)
+    rho = uniform_ball(dim, 1.0, R, n=129)
+    r = np.concatenate([np.linspace(0.0, 2.0 * R, 97),
+                        np.random.default_rng(d).uniform(0.0, 2.0 * R, 20)])
+    for f in (lambda z: bump.laplacian(z, dim), bump.value):
+        assert _lowrank_kernel(f, dim, 2.0 * R, R) is not None
+        expect = _pointwise_convolve(f, rho, dim, r)
+        tol = 1e-12 * np.max(np.abs(expect))
+        out = spherical_mean_convolve(f, rho, dim, r, _refine_check=False)
+        assert np.max(np.abs(out - expect)) <= tol
+        # a lone r = 0 spans no interval of r
+        origin = spherical_mean_convolve(f, rho, dim, np.zeros(1), _refine_check=False)
+        assert abs(origin[0] - expect[0]) <= tol
+
+
+def test_needle_takes_the_pointwise_path():
+    # no grid up to 257 nodes certifies a needle, so every (r, s) pair runs
+    # the pointwise kernel, with the values that path has always given
+    needle = lambda z: np.exp(-(z / 0.02) ** 2)
+    r = np.array([0.0, 0.3, 0.99, 1.0, 1.02])
+    expect = {2: [0.0012566370912201995, 0.0012566370614358125,
+                  0.0009525803491835918, 0.0006247761107114475,
+                  9.754952234683359e-05],
+              3: [4.454662397465366e-05, 4.454662383699673e-05,
+                  3.366885708371837e-05, 2.2021984654631825e-05,
+                  3.412929014133415e-06]}
+    for d in (2, 3):
+        dim = Dimension(d)
+        rho = uniform_ball(dim, 1.0, 1.0, n=101)
+        assert _lowrank_kernel(needle, dim, 1.02, 1.0) is None
+        out = spherical_mean_convolve(needle, rho, dim, r)
+        assert np.allclose(out, expect[d], rtol=1e-14, atol=0.0)
 
 
 def test_smallness_report_formula():

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,9 @@ from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
                            RHO0_KINDS, RHO0_KEYS, main, _write_csv,
                            _CSV_BLOCK_ROWS)
+from repelflow import Dimension, build_steady_state, quartic, verify_steady
 from repelflow.diagnostics import DiagnosticSeries
+from repelflow.lagrangian import CROSSING_POLICIES
 from repelflow.errors import ConfigError
 
 
@@ -92,6 +94,26 @@ m0 = 2.0
     assert x[0] == pytest.approx(-1.0, abs=1e-8)
     assert np.max(np.abs(rho - 1.0)) < 1e-6
     assert np.max(np.abs(phi - summary["potential_plateau"])) < 1e-6
+
+
+@pytest.mark.parametrize("m0", [0.5, 1.0, 2.0, 5.0])
+def test_line_quartic_steady_meets_the_mass_gate(tmp_path, m0):
+    # d = 1 puts 2n cells on [-R, R], the spacing of n cells on [0, R] in
+    # d >= 2; with n cells the curved profile missed the 1e-8 mass gate
+    ini = _write_ini(tmp_path / "quartic.ini", f"""
+[run]
+mode = steady
+
+[problem]
+dimension = 1
+m0 = {m0!r}
+
+[potential]
+kind = quartic
+""")
+    assert main(["steady", "--config", ini, "--out", str(tmp_path / "o")]) == 0
+    st = build_steady_state(quartic(), Dimension(1), m0)
+    assert verify_steady(st, quartic()).passed
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_ROWS + 1])
@@ -249,6 +271,24 @@ def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("dt_min = 0.5", "need 0 < dt_min <= dt_init <= dt_max"),
+    ("dt_max = 0.001", "need 0 < dt_min <= dt_init <= dt_max"),
+    ("rk_order = 3", "rk_order must be 2 or 4"),
+], ids=["dt-min", "dt-max", "rk-order"])
+def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, line, message):
+    # validate builds the run's EvolutionConfig, so its rules exit 2 before
+    # config_used.ini and manifest.json are written
+    ini = _write_ini(tmp_path / "s.ini", "[run]\nmode = simulate_radial\n\n"
+                     f"[solver]\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode, line", [
     ("simulate_radial", "[solver]\nn_quantiles = 10"),
     ("attract_steady", "[attraction]\nn_grid = 1"),
@@ -351,10 +391,12 @@ _RHO0 = st.fixed_dictionaries(
     {"kind": st.sampled_from(RHO0_KINDS)},
     optional={key: _BY_TYPE[cast] for key, cast in RHO0_KEYS.items()
               if key != "kind"})
-_CONFIGS = st.builds(ExperimentConfig, **{
+_FIELDS = st.builds(ExperimentConfig, **{
     **{f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)
        if f.type in _BY_TYPE},
     **{name: st.sampled_from(choices) for name, choices in CHOICES.items()},
+    "crossing_policy": st.sampled_from(CROSSING_POLICIES),
+    "rk_order": st.sampled_from((2, 4)),
     "m0": st.floats(min_value=1e-300, allow_infinity=False),
     "n_quantiles": st.integers(16, 10**9),
     "attraction_n_grid": st.integers(2, 10**9),
@@ -365,6 +407,12 @@ _CONFIGS = st.builds(ExperimentConfig, **{
     "rho0": st.just({}) | _RHO0,
     "rho0_alt": st.none() | _RHO0,
 })
+# 0 < dt_min <= dt_init <= dt_max, as the radial solver needs
+_DT_ORDER = st.lists(st.floats(min_value=1e-300, allow_infinity=False),
+                     min_size=3, max_size=3).map(sorted)
+_CONFIGS = st.builds(
+    lambda cfg, dts: replace(cfg, **dict(zip(("dt_min", "dt_init", "dt_max"), dts))),
+    _FIELDS, _DT_ORDER)
 
 
 @settings(max_examples=150)
@@ -387,7 +435,8 @@ _KEYS = {section: [entry if isinstance(entry, str) else entry[0]
                    for entry in entries] for section, entries in INI_LAYOUT}
 _VALUES = st.one_of(st.text(max_size=12), st.integers().map(str),
                     st.floats().map(str),
-                    st.sampled_from([v for c in CHOICES.values() for v in c]))
+                    st.sampled_from([v for c in (*CHOICES.values(), CROSSING_POLICIES)
+                                     for v in c]))
 
 
 @st.composite

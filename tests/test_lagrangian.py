@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repelflow import (Dimension, uniform_ball, annulus, line_interval,
                        quadratic, quartic, double_well, init_lagrangian,
@@ -11,7 +12,7 @@ from repelflow import (Dimension, uniform_ball, annulus, line_interval,
                        steady_quantile_state, support_radius,
                        build_steady_state, l1_distance, shell_energy,
                        dissipation)
-from repelflow.lagrangian import LagrangianState, rhs, step
+from repelflow.lagrangian import CROSSING_POLICIES, LagrangianState, rhs, step
 from repelflow.errors import ConfigError, StiffnessError
 
 
@@ -221,3 +222,39 @@ def test_callable_field_is_refreshed():
     fixed, _ = evolve(st, quadratic(), cfg)
     assert len(calls) >= 2
     assert np.allclose(final.radii, fixed.radii, atol=1e-14)
+
+
+@st.composite
+def _radial_runs(draw):
+    """A small radial start, confinement and solver config."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    dim = Dimension(d)
+    if d == 1:
+        a = draw(st.floats(-2.0, 1.0))
+        rho0 = line_interval(dim, 1.0, a, a + draw(st.floats(0.2, 2.0)))
+    elif draw(st.booleans()):
+        rho0 = uniform_ball(dim, 1.0, draw(st.floats(0.2, 2.0)))
+    else:
+        r_in = draw(st.floats(0.1, 1.5))
+        rho0 = annulus(dim, 1.0, r_in, r_in + draw(st.floats(0.2, 1.5)))
+    rho0 = rho0.renormalized(draw(st.floats(0.5, 5.0)))
+    V = draw(st.sampled_from((quadratic, quartic)))(draw(st.floats(0.5, 2.0)))
+    # steps up to 0.5 let RK stages cross, which the solver must reject or merge
+    dt = draw(st.floats(0.01, 0.5))
+    cfg = EvolutionConfig(dt_init=dt, dt_max=2.0 * dt, t_end=draw(st.floats(0.02, 0.5)),
+                          rk_order=draw(st.sampled_from((2, 4))),
+                          crossing_policy=draw(st.sampled_from(CROSSING_POLICIES)),
+                          snapshot_stride=draw(st.integers(1, 5)))
+    return init_lagrangian(rho0, draw(st.integers(16, 64)), dim), V, cfg
+
+
+@settings(max_examples=100)
+@given(run=_radial_runs())
+def test_evolve_keeps_mass_order_and_positive_densities(run):
+    state, V, cfg = run
+    m0 = state.m0
+    _, snaps = evolve(state, V, cfg)
+    for s in snaps:
+        assert abs(float(np.sum(s.cell_masses)) - m0) <= 1e-12 * m0
+        assert np.all(np.diff(s.radii) > 0.0)
+        assert np.all(s.densities > 0.0)
