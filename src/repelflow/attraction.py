@@ -20,14 +20,14 @@ grid whose half-node interpolant certifies it, and evaluates it at every
 ``shell_mean`` and ``effective_attraction_potential`` evaluate K pointwise.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline
 
+from ._cubic import hermite, simpson
 from .density import RadialDensity
 from .errors import (ConfigError, ConvergenceError, NumericsError,
                      ResolutionError, ResolutionWarning)
@@ -66,13 +66,21 @@ _BLOCK_ELEMENTS = 2 ** 15
 MIN_GRID = 2
 
 
+@functools.cache
+def _gauss_legendre(n):
+    """n-node Gauss-Legendre rule on [-1, 1], computed once and read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _angular_mean(fs, dim):
     """Kernel mean(r, s) by 64-node Gauss-Legendre in the angle, any d >= 2.
 
     Returns one row per f in ``fs`` for broadcastable r, s >= 0.
     """
     # Gauss-Legendre nodes on [0, pi] with the sin^(d-2) weight folded in
-    x, w = leggauss(_THETA_NODES)
+    x, w = _gauss_legendre(_THETA_NODES)
     theta = 0.5 * np.pi * (x + 1.0)
     tw = 0.5 * np.pi * w * np.sin(theta) ** (dim.d - 2)
     cos_t = np.cos(theta)
@@ -99,13 +107,13 @@ def _sphere_mean(fs, dim, t_max):
     if dim.d != 3:
         return _angular_mean(fs, dim)
 
-    x, w = leggauss(_GAUSS_NODES)
+    x, w = _gauss_legendre(_GAUSS_NODES)
     # t_max = 0 means r = s = 0 throughout: every pair is short
     knots = np.linspace(0.0, t_max or 1.0, _G_KNOTS)
     h = knots[1]
     nodes = knots[:-1, None] + 0.5 * h * (x + 1.0)
     pieces = [(nodes * f(nodes)) @ w * (0.5 * h) for f in fs]
-    G = CubicHermiteSpline(
+    G = hermite(
         knots, np.column_stack([np.concatenate(([0.0], np.cumsum(p))) for p in pieces]),
         np.column_stack([knots * f(knots) for f in fs]))
 
@@ -190,7 +198,9 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
 
         sigma_d int rho(s) s^(d-1) mean_(|y|=s) f(|x - y|) ds,   |x| = r,
 
-    with composite Simpson on a uniform s-grid over the support.  The sphere
+    with composite Simpson on a uniform grid of n_s points over the
+    support; n_s must be odd and at least 3, so that the grid is whole
+    Simpson panels (its refinement, 2 n_s - 1 points, is odd too).  The sphere
     mean of a smooth f is analytic in (r, s), so it is read from a p x p
     Chebyshev-Lobatto grid over [0, max r] x [0, s_max] of the angular rule,
     certified by its half-node interpolant (``_lowrank_kernel``): with
@@ -203,6 +213,9 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
     """
     if dim.d < 2:
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
+    if n_s < 3 or n_s % 2 == 0:
+        raise ConfigError(f"n_s must be an odd count of at least 3, got {n_s}",
+                          reason="invalid solver config")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     s_hi = min(rho.grid[-1], rho.support_radius)
     r_hi = float(np.max(r, initial=0.0))
@@ -342,8 +355,12 @@ def _radius_from_laplacian(grid, lap_vals, dim, m0):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if profile.enclosed_mass(mid) < m0:
+            if lo == mid:
+                break     # (lo, hi) is a fixed point: later steps repeat this one
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from ._cubic import pchip
 from .density import RadialDensity
 from .errors import ConfigError, PotentialError, ResolutionWarning, StiffnessError
 from .steady import solve_support_radius
@@ -315,7 +315,7 @@ def reconstruct_density(state, refine=2):
     vals = np.concatenate([[p[0]], p, [p[-1]]])
     if nodes[0] >= nodes[1]:          # collapsed inner edge (ball data)
         nodes, vals = nodes[1:], vals[1:]
-    prof = PchipInterpolator(nodes, vals)
+    prof = pchip(nodes, vals)
     fine = np.sort(np.concatenate([nodes] + [
         nodes[:-1] + k / (refine + 1.0) * np.diff(nodes) for k in range(1, refine + 1)]))
     fine_vals = np.clip(prof(fine), 0.0, None)

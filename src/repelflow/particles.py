@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DivergenceError, ResolutionWarning
 
@@ -137,18 +136,28 @@ def _pair_sum(pos, coef, rhs):
     coef(r, apart), called on slices of _COEF_ROWS rows, overwrites them
     in place with the symmetric pair coefficients c_ij wherever the mask
     apart holds; the rest of the strip, self and coincident pairs
-    (r < 1e-14, no direction), is then set to 0.  The strip adds C rhs to its own rows and, by symmetry, C^T rhs to the later
-    rows; its leading square block already holds both orders of its pairs.
+    (r < 1e-14, no direction), is then set to 0.  The strip adds C rhs to
+    its own rows and, by symmetry, C^T rhs to the later rows; its leading
+    square block already holds both orders of its pairs.  Every strip and
+    mask is a view of one buffer each, allocated once per call, so the
+    heap does not shrink and regrow (and fault its pages back in) per block.
     Returns the sums and the number of coincident ordered pairs.
     """
+    # only particle runs need scipy.spatial, which takes about 0.4 s to import
+    from scipy.spatial.distance import cdist
+
     n = pos.shape[0]
     out = np.zeros((n,) + rhs.shape[1:])
     coincident = 0
     step = _chunk_size(n)
+    strip = np.empty(step * n)
+    mask = np.empty(step * n, dtype=bool)
     for a in range(0, n, step):
         b = min(a + step, n)
-        r = cdist(pos[a:b], pos[a:])
-        apart = r >= 1e-14
+        shape = (b - a, n - a)
+        size = shape[0] * shape[1]
+        r = cdist(pos[a:b], pos[a:], out=strip[:size].reshape(shape))
+        apart = np.greater_equal(r, 1e-14, out=mask[:size].reshape(shape))
         # pairs beyond the square block count in both orders
         near = r.size - np.count_nonzero(apart)
         near_square = (b - a) ** 2 - np.count_nonzero(apart[:, :b - a])

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
+from ._cubic import hermite, pchip
 from .errors import ConfigError
 
 __all__ = [
@@ -156,9 +156,13 @@ def table_potential(r, v, vp, vpp, name="table"):
     if r.ndim != 1 or len(r) < 4 or np.any(np.diff(r) <= 0):
         raise ConfigError("potential table needs >= 4 strictly increasing radii",
                           reason="invalid potential table")
-    val = CubicHermiteSpline(r, np.asarray(v, float), np.asarray(vp, float))
-    slo = CubicHermiteSpline(r, np.asarray(vp, float), np.asarray(vpp, float))
-    sec = PchipInterpolator(r, np.asarray(vpp, float), extrapolate=True)
+    v, vp, vpp = (np.asarray(c, dtype=float) for c in (v, vp, vpp))
+    if not all(np.all(np.isfinite(c)) for c in (r, v, vp, vpp)):
+        raise ConfigError("potential table values must be finite",
+                          reason="invalid potential table")
+    val = hermite(r, v, vp)
+    slo = hermite(r, vp, vpp)
+    sec = pchip(r, vpp)
     return RadialPotential(
         lambda x: val(np.abs(x)),
         slope=lambda x: np.sign(x) * slo(np.abs(x)),

@@ -346,6 +346,21 @@ def test_missing_input_files_exit_2(tmp_path, capsys, mode, text):
     assert "reason: invalid solver config" in err
 
 
+@pytest.mark.parametrize("column", [1, 3])
+def test_non_finite_potential_table_exits_2(tmp_path, capsys, column):
+    r = np.linspace(0.0, 3.0, 16)
+    table = np.column_stack([r, 0.5 * r * r, r, np.ones_like(r)])
+    table[7, column] = np.nan
+    np.savetxt(tmp_path / "table.csv", table, delimiter=",")
+    ini = _write_ini(tmp_path / "in.ini", "[run]\nmode = steady\n\n[problem]\n"
+                     f"dimension = 3\n\n[potential]\nkind = table\n"
+                     f"table = {tmp_path / 'table.csv'}\n")
+    assert main(["steady", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: potential table values must be finite" in err
+    assert "reason: invalid potential table" in err
+
+
 def _replays(tmp_path, mode, ini):
     # config_used.ini must carry everything the run read from its config
     first, second = tmp_path / "first", tmp_path / "second"
