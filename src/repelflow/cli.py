@@ -9,6 +9,7 @@ Every failure prints a machine-readable "reason: ..." line on stderr.
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -156,12 +157,24 @@ def _load_input(path, load):
                           reason="invalid solver config") from None
 
 
+def _read_table(path):
+    """The rows (r, V, V', V'') of a [potential] table file."""
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as err:
+        raise ConfigError(f"potential table {path!r} is not numeric CSV: {err}",
+                          reason="invalid potential table") from None
+    if data.shape[1] != 4:
+        raise ConfigError(f"potential table {path!r} needs the 4 columns "
+                          "r, V, V', V''", reason="invalid potential table")
+    return data
+
+
 def build_confinement(cfg):
     """Confinement potential from the config's [potential] spec."""
     kind, p = cfg.potential_kind, cfg.potential_param
     if kind == "table":
-        data = _load_input(cfg.potential_table, lambda path: np.loadtxt(
-            path, delimiter=",", comments="#"))
+        data = _load_input(cfg.potential_table, _read_table)
         return table_potential(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
     if kind == "zero":
         return zero_potential()
@@ -423,14 +436,36 @@ def recipe(name):
 _CSV_BLOCK_ROWS = 4096
 
 
+def _csv_block(cols):
+    """Rows of one block, each value as "%.17g" gives it.
+
+    A column with fewer than a quarter as many distinct values as rows
+    (snapshot times, quantile indices, cell masses) formats each distinct
+    value once and enters the rows as text.
+    """
+    n = len(cols[0])
+    cells = np.empty((n, len(cols)), dtype=object)
+    formats = []
+    for j, col in enumerate(cols):
+        # key on the bits: 0.0 and -0.0 are equal but print differently
+        keys, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        if 4 * len(keys) < n:
+            text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
+                            dtype=object)
+            cells[:, j] = text[inverse]
+            formats.append("%s")
+        else:
+            cells[:, j] = col
+            formats.append("%.17g")
+    return ((",".join(formats) + "\n") * n) % tuple(cells.ravel().tolist())
+
+
 def _write_csv(path, header, columns):
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
     with open(path, "w") as fh:
         fh.write("# " + ",".join(header) + "\n")
-        for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[lo:lo + _CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            fh.write(_csv_block([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _write_json(path, payload):
@@ -469,24 +504,36 @@ def _particles_csv(path, snapshots):
     _write_csv(path, header, tuple(np.concatenate(c) for c in cols))
 
 
-def _manifest(out, cfg, config_sha, t0, artifacts):
-    import scipy
+@functools.cache
+def _versions():
+    """Package versions for the manifest, looked up once per process.
+
+    scipy's is read from scipy/version.py, where scipy.__version__ comes
+    from. Importing scipy would load 23 modules that a radial or attraction
+    run never uses; importlib.metadata would load 35.
+    """
+    import importlib.util
+    import runpy
+    from pathlib import Path
     from . import __version__
-    versions = {"repelflow": __version__, "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0]}
+    scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    return {"repelflow": __version__, "numpy": np.__version__,
+            "scipy": runpy.run_path(scipy_dir / "version.py")["version"],
+            "python": sys.version.split()[0]}
+
+
+def _manifest(out, cfg, config_sha, t0, artifacts):
     _write_json(out / "manifest.json",
                 {"mode": cfg.mode, "config_sha256": config_sha,
-                 "versions": versions,
+                 "versions": _versions(),
                  "wall_time_s": time.perf_counter() - t0,
                  "artifacts": sorted(artifacts)})
 
 
 # -- mode runners ------------------------------------------------------------
 
-def _run_steady(cfg, out):
+def _run_steady(cfg, out, V):
     dim = Dimension(cfg.dimension)
-    V = build_confinement(cfg)
     st = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     phi = newtonian_radial_potential(st.density) + V.value(st.density.grid)
     _steady_csv(out / "steady.csv", st.density, phi)
@@ -514,9 +561,8 @@ def _rate_fits(cfg, series, dim, out, summary, suffix=""):
     return artifacts
 
 
-def _run_simulate_radial(cfg, out):
+def _run_simulate_radial(cfg, out, V):
     dim = Dimension(cfg.dimension)
-    V = build_confinement(cfg)
     try:
         steady = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     except PotentialError:
@@ -557,19 +603,11 @@ def _run_simulate_radial(cfg, out):
     return artifacts + ["summary.json"]
 
 
-def _run_simulate_particles(cfg, out):
+def _run_simulate_particles(cfg, out, V=None, cloud=None):
     dim = Dimension(cfg.dimension)
     rng = np.random.default_rng(cfg.seed)
-    V = W = None
-    if cfg.particle_mode == "attraction":
-        W = build_attraction(cfg, dim)
-    else:
-        V = build_confinement(cfg)
-    if cfg.rho0.get("kind") == "cloud":
-        # a loaded cloud is an initial condition: its clock restarts at zero
-        cloud = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),
-                        time=0.0)
-    else:
+    W = build_attraction(cfg, dim) if cfg.particle_mode == "attraction" else None
+    if cloud is None:
         rho0 = build_density(cfg.rho0, dim, cfg.m0)
         # regularization scale set by the terminal density: Lap V on the
         # support for confinement, the pre-collapse scale m0 for attraction
@@ -650,9 +688,8 @@ def _run_rates(cfg, out):
     return artifacts + ["summary.json"]
 
 
-def _run_validate(cfg, out):
+def _run_validate(cfg, out, V):
     dim = Dimension(cfg.dimension)
-    V = build_confinement(cfg)
     if cfg.check == "compact":
         rep = check_compact_support_tail(V, dim, cfg.c_v, cfg.r0)
         fields = {"slope_ok": bool(rep.slope_ok),
@@ -687,11 +724,30 @@ _RUNNERS = {"steady": _run_steady,
             "validate": _run_validate}
 
 
+def _read_inputs(cfg):
+    """Runner arguments built from the files the config names.
+
+    They are read and checked before anything is written, so a refused
+    file leaves the output directory as it was.
+    """
+    inputs = {}
+    particles = cfg.mode == "simulate_particles"
+    if cfg.mode in ("steady", "simulate_radial", "validate") or (
+            particles and cfg.particle_mode == "confinement"):
+        inputs["V"] = build_confinement(cfg)
+    if particles and cfg.rho0.get("kind") == "cloud":
+        # a loaded cloud is an initial condition: its clock restarts at zero
+        inputs["cloud"] = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),
+                                  time=0.0)
+    return inputs
+
+
 def run(cfg, config_sha=None):
     """Execute one experiment; returns 0 and leaves artifacts in cfg.out."""
     from pathlib import Path
     cfg.validate()
     t0 = time.perf_counter()
+    inputs = _read_inputs(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     config_to_ini(cfg, out / "config_used.ini")
@@ -699,7 +755,7 @@ def run(cfg, config_sha=None):
         config_sha = hashlib.sha256(
             (out / "config_used.ini").read_bytes()).hexdigest()
     try:
-        artifacts = _RUNNERS[cfg.mode](cfg, out)
+        artifacts = _RUNNERS[cfg.mode](cfg, out, **inputs)
     finally:
         # manifest records the attempt even when the runner raises
         _manifest(out, cfg, config_sha, t0, ["config_used.ini"])

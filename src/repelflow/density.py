@@ -85,6 +85,7 @@ class RadialDensity:
             support_radius = grid[min(edge + 1, len(grid) - 1)] if dim.d >= 2 else grid[edge]
         self.support_radius = float(support_radius)
         self._cum = None
+        self._knots = None
 
     def _weight_power(self):
         return self.dim.d - 1
@@ -115,6 +116,22 @@ class RadialDensity:
             m = self._prefactor() * np.concatenate([[0.0], np.cumsum(cells)])
             self._cum = np.maximum.accumulate(np.clip(m, 0.0, None))
         return self._cum
+
+    def _l1_knots(self):
+        """Distinct knots that l1_distance resolves this profile on.
+
+        The grid, plus a triple around each place where the profile may jump
+        to zero (both grid ends and the support radius).  Kept after the
+        first call, so a series of distances to one profile sorts them once.
+        """
+        if self._knots is None:
+            knots = [self.grid]
+            for edge in (self.grid[0], self.grid[-1], self.support_radius):
+                scale = max(abs(edge), 1.0)
+                knots.append(np.array([edge - _EDGE_EPS * scale, edge,
+                                       edge + _EDGE_EPS * scale]))
+            self._knots = _distinct(np.concatenate(knots))
+        return self._knots
 
     def enclosed_mass(self, r):
         """Enclosed mass at arbitrary radii, exact for the interpolant.
@@ -228,14 +245,7 @@ def l1_distance(a, b):
     if a.dim.d != b.dim.d:
         raise ConfigError("densities live in different dimensions", reason="invalid density")
     d = a.dim.d
-    knots = [a.grid, b.grid]
-    for dens in (a, b):
-        # profiles jump to zero just outside their grid ends; resolve each jump
-        for edge in (dens.grid[0], dens.grid[-1], dens.support_radius):
-            scale = max(abs(edge), 1.0)
-            knots.append(np.array([edge - _EDGE_EPS * scale, edge,
-                                   edge + _EDGE_EPS * scale]))
-    merged = np.unique(np.concatenate(knots))
+    merged = _distinct(np.concatenate([a._l1_knots(), b._l1_knots()]))
     if d >= 2:
         merged = merged[merged >= 0.0]
     # interleave the sorted knots with their midpoints; a midpoint of two
@@ -243,8 +253,20 @@ def l1_distance(a, b):
     fine = np.empty(2 * len(merged) - 1)
     fine[0::2] = merged
     fine[1::2] = 0.5 * (merged[1:] + merged[:-1])
-    merged = fine[np.concatenate(([True], np.diff(fine) > 0.0))]
-    diff = np.abs(a(merged) - b(merged))
+    rising = np.diff(fine) > 0.0
+    if not rising.all():
+        fine = fine[np.concatenate(([True], rising))]
+    diff = np.abs(a(fine) - b(fine))
     if d == 1:
-        return float(np.trapezoid(diff, merged))
-    return float(a.dim.sphere_area * np.trapezoid(diff * merged ** (d - 1), merged))
+        return float(np.trapezoid(diff, fine))
+    return float(a.dim.sphere_area * np.trapezoid(diff * fine ** (d - 1), fine))
+
+
+def _distinct(x):
+    """The distinct values of x in increasing order, as np.unique gives them.
+
+    A stable sort merges sorted runs in linear time, so joining the knot
+    sets of two profiles costs no full sort.
+    """
+    x = np.sort(x, kind="stable")
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]

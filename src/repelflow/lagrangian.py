@@ -137,26 +137,31 @@ def init_lagrangian(rho0, N, dim, dt_init=0.01):
 
 def rhs(state, V_eff):
     """Velocities of the quantile radii and carried densities."""
-    R = state.radii
-    d = state.dim.d
+    return _velocities(state.radii, state.densities, state.quantiles,
+                       state.dim, state.m0, V_eff)
+
+
+def _velocities(R, rho, m, dim, m0, V_eff):
+    """rhs at radii R and densities rho, with the enclosed masses m given."""
+    d = dim.d
     if d >= 2 and np.any(R <= 0.0):
         raise _StepReject("quantile radius hit the origin")
-    m = state.quantiles
     if d == 1:
-        dR = (m - 0.5 * state.m0) - V_eff.slope(R)
+        dR = (m - 0.5 * m0) - V_eff.slope(R)
     else:
-        dR = m / (state.dim.sphere_area * R ** (d - 1)) - V_eff.slope(R)
-    lap = V_eff.laplacian(R, state.dim)
-    drho = state.densities * (lap - state.densities)
+        dR = m / (dim.sphere_area * R ** (d - 1)) - V_eff.slope(R)
+    lap = V_eff.laplacian(R, dim)
+    drho = rho * (lap - rho)
     return dR, drho
 
 
 def _try_rk(state, V_eff, dt, order):
     """One explicit RK step; raises _StepReject if a stage leaves the domain."""
+    # the cell masses are fixed within a step: one prefix sum serves every stage
+    m = state.quantiles
 
     def f(radii, dens):
-        probe = replace(state, radii=radii, densities=dens)
-        return rhs(probe, V_eff)
+        return _velocities(radii, dens, m, state.dim, state.m0, V_eff)
 
     R0, p0 = state.radii, state.densities
     k1R, k1p = f(R0, p0)
@@ -315,10 +320,19 @@ def reconstruct_density(state, refine=2):
     vals = np.concatenate([[p[0]], p, [p[-1]]])
     if nodes[0] >= nodes[1]:          # collapsed inner edge (ball data)
         nodes, vals = nodes[1:], vals[1:]
-    prof = pchip(nodes, vals)
-    fine = np.sort(np.concatenate([nodes] + [
-        nodes[:-1] + k / (refine + 1.0) * np.diff(nodes) for k in range(1, refine + 1)]))
-    fine_vals = np.clip(prof(fine), 0.0, None)
+    # refine points k / (refine + 1) of the way along each interval; they
+    # stay in order inside it, so interleaving them keeps the grid sorted
+    stride = refine + 1
+    fine = np.empty(stride * (len(nodes) - 1) + 1)
+    fine[::stride] = nodes
+    gaps = np.diff(nodes)
+    for k in range(1, stride):
+        fine[k::stride] = nodes[:-1] + k / stride * gaps
+    # estimator B's interior midpoints are read off the same interpolant
+    mid = 0.5 * (R[1:] + R[:-1])
+    both = pchip(nodes, vals)(np.concatenate([fine, mid]))
+    fine_vals = np.clip(both[:len(fine)], 0.0, None)
+    est_a = both[len(fine):]
 
     if d >= 2 and fine[0] > 0.0:
         head = np.array([0.0, fine[0] * (1 - 1e-9)])
@@ -333,14 +347,12 @@ def reconstruct_density(state, refine=2):
                         support_radius=support)
 
     # estimator B on interior midpoints
-    mid = 0.5 * (R[1:] + R[:-1])
     dm = 0.5 * (state.cell_masses[1:] + state.cell_masses[:-1])
     dR = np.diff(R)
     if d == 1:
         est_b = dm / dR
     else:
         est_b = dm / (state.dim.sphere_area * mid ** (d - 1) * dR)
-    est_a = prof(mid)
     deviation = float(np.max(np.abs(est_a - est_b) / np.maximum(est_b, 1e-300)))
     out.estimator_deviation = deviation
     if deviation > 0.20:

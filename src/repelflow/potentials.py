@@ -87,8 +87,11 @@ class RadialPotential:
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty_like(r)
         away = np.abs(r) > self._r_origin
+        if away.all():
+            out = self.second(r) + (dim.d - 1) * self.slope(r) / r
+            return float(out[0]) if scalar else out
+        out = np.empty_like(r)
         if np.any(away):
             ra = r[away]
             out[away] = self.second(ra) + (dim.d - 1) * self.slope(ra) / ra

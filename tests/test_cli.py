@@ -1,8 +1,13 @@
 """Experiment harness: config round trip, exit codes, artifacts, determinism."""
 
+import importlib.metadata
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,16 +121,21 @@ kind = quartic
     assert verify_steady(st, quartic()).passed
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
 def test_csv_rows_match_the_per_value_format(tmp_path, n_rows):
-    # block formatting writes the bytes "%.17g" gives value by value
+    # block formatting writes the bytes "%.17g" gives value by value, both
+    # where a column's repeats are formatted once and where every value is
     awkward = np.array([-0.0, 5e-324, 1e308, 0.1, 3.0, np.nan, -np.inf,
                         -1e-310, 2.0 ** 53, 1.0 / 3.0, 12345.0])
+    # values that compare equal or unordered but print apart
+    signed = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324])
     columns = [np.resize(np.roll(awkward, k), n_rows) for k in range(3)]
+    columns += [np.resize(signed, n_rows),
+                np.random.default_rng(0).standard_normal(n_rows)]
     path = tmp_path / "rows.csv"
-    _write_csv(path, ("a", "b", "c"), columns)
+    _write_csv(path, ("a", "b", "c", "d", "e"), columns)
     rows = np.column_stack(columns)
-    expect = "# a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+    expect = "# a,b,c,d,e\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                    for row in rows)
     assert path.read_text() == expect
 
@@ -344,6 +354,8 @@ def test_missing_input_files_exit_2(tmp_path, capsys, mode, text):
     err = capsys.readouterr().err
     assert "error: " in err
     assert "reason: invalid solver config" in err
+    # inputs are read before the output directory is made
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("column", [1, 3])
@@ -355,10 +367,34 @@ def test_non_finite_potential_table_exits_2(tmp_path, capsys, column):
     ini = _write_ini(tmp_path / "in.ini", "[run]\nmode = steady\n\n[problem]\n"
                      f"dimension = 3\n\n[potential]\nkind = table\n"
                      f"table = {tmp_path / 'table.csv'}\n")
-    assert main(["steady", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["steady", "--config", ini, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: potential table values must be finite" in err
     assert "reason: invalid potential table" in err
+    # the table is refused before config_used.ini or manifest.json is written
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("0,0,0,1\n1,0.5,1,1\n2,2,2,1\n", "needs >= 4 strictly increasing radii"),
+    ("0,0,0,1\n2,2,2,1\n1,0.5,1,1\n3,4.5,3,1\n",
+     "needs >= 4 strictly increasing radii"),
+    ("0,0,0,1\n", "needs >= 4 strictly increasing radii"),
+    ("0,0,0\n1,0.5,1\n2,2,2\n3,4.5,3\n", "needs the 4 columns"),
+    ("0,0,0,1\n1,half,1,1\n2,2,2,1\n3,4.5,3,1\n", "is not numeric CSV"),
+], ids=["3-rows", "unordered", "1-row", "3-columns", "text"])
+def test_refused_potential_table_writes_nothing(tmp_path, capsys, rows, error):
+    (tmp_path / "table.csv").write_text(rows)
+    ini = _write_ini(tmp_path / "in.ini", "[run]\nmode = simulate_radial\n\n"
+                     f"[potential]\nkind = table\ntable = {tmp_path / 'table.csv'}\n")
+    out = tmp_path / "o"
+    assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert error in err
+    assert "reason: invalid potential table" in err
+    assert not out.exists()
 
 
 def _replays(tmp_path, mode, ini):
@@ -653,6 +689,26 @@ def test_radial_artifacts_and_manifest(tmp_path):
     series = DiagnosticSeries.from_csv(out / "series.csv")
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+_STEADY_PROBE = """
+import sys
+from repelflow.cli import main
+code = main(["steady", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_manifest_records_scipy_without_importing_it(tmp_path):
+    ini = _write_ini(tmp_path / "s.ini", "[run]\nmode = steady\n")
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _STEADY_PROBE, ini, str(out)],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.split() == ["0", "[]"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
 
 
 def test_particle_run_deterministic_given_seed(tmp_path):

@@ -9,7 +9,9 @@ from repelflow import (Dimension, quadratic, uniform_ball, init_lagrangian,
                        evolve, EvolutionConfig, build_steady_state,
                        shell_energy, energy, dissipation, discrepancy,
                        lyapunov, collect_series, DiagnosticSeries, fit_rate,
-                       gamma_theory, density_bounds_onset, radial_energy)
+                       gamma_theory, density_bounds_onset, radial_energy,
+                       l1_to_steady, reconstruct_density)
+from repelflow.density import RadialDensity, _distinct
 from repelflow.lagrangian import LagrangianState
 from repelflow.errors import ConfigError, NumericsError
 
@@ -96,6 +98,31 @@ def test_collect_series_and_roundtrip(tmp_path):
     assert np.allclose(back.times, series.times, atol=0.0)
     assert np.allclose(back.energy, series.energy, atol=0.0)
     assert back.params["E_inf"] == pytest.approx(series.params["E_inf"], abs=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_series_l1_matches_one_distance_per_snapshot(d):
+    # collect_series sorts the steady knots once; each distance computed on
+    # its own, against a profile whose knots are not yet kept, must agree
+    dim = Dimension(d)
+    m0 = dim.sphere_area
+    V = quadratic()
+    st = init_lagrangian(uniform_ball(dim, 1.5, 1.5).renormalized(m0), 128, dim)
+    _, snaps = evolve(st, V, EvolutionConfig(t_end=0.5, snapshot_stride=1))
+    steady = build_steady_state(V, dim, m0, n=1024)
+    series = collect_series(snaps, V, steady=steady)
+    rho = steady.density
+
+    def fresh():
+        return RadialDensity(rho.grid, rho.values, dim, support_radius=rho.support_radius)
+
+    alone = [l1_to_steady(s, fresh()) for s in snaps]
+    assert np.array_equal(series.l1_dist, alone)
+    assert np.array_equal(series.l1_dist, [l1_to_steady(s, steady) for s in snaps])
+    # the kept knots are the distinct values np.unique finds
+    profile = reconstruct_density(snaps[-1])
+    both = np.concatenate([profile._l1_knots(), rho._l1_knots()])
+    assert np.unique(both).tobytes() == _distinct(both).tobytes()
 
 
 def test_series_header_is_read_as_literals(tmp_path):

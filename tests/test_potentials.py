@@ -50,6 +50,31 @@ def test_finite_difference_fallback():
     assert np.all(np.isfinite(lap))
 
 
+def _laplacian_cases():
+    r = np.linspace(0.0, 3.0, 32)
+    return [quadratic(), quartic(), double_well(a=1.5),
+            RadialPotential(lambda r: 0.5 * r * r + 0.1 * r ** 4),
+            table_potential(r, 0.5 * r * r, r, np.ones_like(r))]
+
+
+@pytest.mark.parametrize("V", _laplacian_cases(), ids=lambda V: V.name)
+@pytest.mark.parametrize("d", [2, 3])
+def test_laplacian_reads_the_same_with_and_without_origin_points(V, d):
+    # a grid clear of the origin window takes the unmasked path; adding two
+    # points inside the window must not change a bit of the others
+    dim = Dimension(d)
+    grid = np.geomspace(2.0 * V._r_origin, 3.0, 257)
+    clear = V.laplacian(grid, dim)
+    mixed = V.laplacian(np.concatenate([[0.0, 0.5 * V._r_origin], grid]), dim)
+    assert clear.shape == grid.shape
+    assert mixed[2:].tobytes() == clear.tobytes()
+    assert mixed[0] == mixed[1] == d * float(V.second(np.asarray(0.0)))
+    for r in (0.0, 0.7):
+        lap = V.laplacian(r, dim)
+        assert type(lap) is float
+        assert lap == V.laplacian(np.array([r]), dim)[0]
+
+
 def test_table_potential_roundtrip():
     r = np.linspace(0.0, 3.0, 400)
     src = quartic()
