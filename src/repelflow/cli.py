@@ -17,6 +17,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .lagrangian import (MIN_QUANTILES, EvolutionConfig, init_lagrangian,
                          evolve, reconstruct_density, support_radius)
 from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
-                        discrete_energy, cloud_support_radius)
-from .attraction import (MIN_GRID, solve_attraction_steady, attraction_energy,
-                         check_smallness, spherical_mean_convolve)
+                        discrete_energy, cloud_support_radius, _cloud_header,
+                        _cloud_columns)
+from .attraction import (MIN_GRID, solve_attraction_steady, check_smallness,
+                         spherical_mean_convolve)
+from ._table import read_table, write_table
 from .errors import SolverError, ConfigError, PotentialError
 
 MODES = ("steady", "simulate_radial", "simulate_particles",
@@ -159,11 +162,7 @@ def _load_input(path, load):
 
 def _read_table(path):
     """The rows (r, V, V', V'') of a [potential] table file."""
-    try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as err:
-        raise ConfigError(f"potential table {path!r} is not numeric CSV: {err}",
-                          reason="invalid potential table") from None
+    _, data = read_table(path, "potential table", "invalid potential table")
     if data.shape[1] != 4:
         raise ConfigError(f"potential table {path!r} needs the 4 columns "
                           "r, V, V', V''", reason="invalid potential table")
@@ -431,77 +430,15 @@ def recipe(name):
 
 # -- artifact writers --------------------------------------------------------
 
-# rows formatted per write: one '%' per block keeps the text of a whole
-# file out of memory
-_CSV_BLOCK_ROWS = 4096
-
-
-def _csv_block(cols):
-    """Rows of one block, each value as "%.17g" gives it.
-
-    A column with fewer than a quarter as many distinct values as rows
-    (snapshot times, quantile indices, cell masses) formats each distinct
-    value once and enters the rows as text.
-    """
-    n = len(cols[0])
-    cells = np.empty((n, len(cols)), dtype=object)
-    formats = []
-    for j, col in enumerate(cols):
-        # key on the bits: 0.0 and -0.0 are equal but print differently
-        keys, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        if 4 * len(keys) < n:
-            text = np.array(["%.17g" % v for v in keys.view(float).tolist()],
-                            dtype=object)
-            cells[:, j] = text[inverse]
-            formats.append("%s")
-        else:
-            cells[:, j] = col
-            formats.append("%.17g")
-    return ((",".join(formats) + "\n") * n) % tuple(cells.ravel().tolist())
-
-
-def _write_csv(path, header, columns):
-    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
-    with open(path, "w") as fh:
-        fh.write("# " + ",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            fh.write(_csv_block([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns]))
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
 
 
-def _steady_csv(path, density, phi):
-    _write_csv(path, ("r", "rho", "phi"), (density.grid, density.values, phi))
-
-
-def _snapshots_csv(path, snapshots):
-    t, idx, m, R, p = [], [], [], [], []
-    for s in snapshots:
-        t.append(np.full(s.n, s.time))
-        idx.append(np.arange(s.n, dtype=float))
-        m.append(s.cell_masses)
-        R.append(s.radii)
-        p.append(s.densities)
-    _write_csv(path, ("t", "i", "m_i", "R_i", "rho_i"),
-               tuple(np.concatenate(c) for c in (t, idx, m, R, p)))
-
-
-def _particles_csv(path, snapshots):
-    d = snapshots[0].dim.d
-    header = ("t", "id") + tuple(f"x{k + 1}" for k in range(d)) + ("w",)
-    cols = [[] for _ in header]
-    for cl in snapshots:
-        n = cl.weights.size
-        cols[0].append(np.full(n, cl.time))
-        cols[1].append(np.arange(n, dtype=float))
-        for k in range(d):
-            cols[2 + k].append(cl.positions[:, k])
-        cols[-1].append(cl.weights)
-    _write_csv(path, header, tuple(np.concatenate(c) for c in cols))
+def _snapshots_csv(path, header, blocks):
+    """One table of per-snapshot column blocks, joined column by column."""
+    write_table(path, header, [np.concatenate(c) for c in zip(*blocks)])
 
 
 @functools.cache
@@ -514,7 +451,6 @@ def _versions():
     """
     import importlib.util
     import runpy
-    from pathlib import Path
     from . import __version__
     scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
     return {"repelflow": __version__, "numpy": np.__version__,
@@ -535,8 +471,9 @@ def _manifest(out, cfg, config_sha, t0, artifacts):
 def _run_steady(cfg, out, V):
     dim = Dimension(cfg.dimension)
     st = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
-    phi = newtonian_radial_potential(st.density) + V.value(st.density.grid)
-    _steady_csv(out / "steady.csv", st.density, phi)
+    r = st.density.grid
+    phi = newtonian_radial_potential(st.density) + V.value(r)
+    write_table(out / "steady.csv", ("r", "rho", "phi"), (r, st.density.values, phi))
     _write_json(out / "summary.json",
                 {"mode": "steady", "d": dim.d, "m0": st.m0,
                  "R_inf": st.R_inf, "E_inf": st.E_inf,
@@ -582,7 +519,9 @@ def _run_simulate_radial(cfg, out, V):
         finals.append(final)
         series = collect_series(snaps, V, steady=steady)
         series.to_csv(out / f"series{suffix}.csv")
-        _snapshots_csv(out / f"snapshots{suffix}.csv", snaps)
+        _snapshots_csv(out / f"snapshots{suffix}.csv", ("t", "i", "m_i", "R_i", "rho_i"),
+                       [(np.full(s.n, s.time), np.arange(s.n, dtype=float),
+                         s.cell_masses, s.radii, s.densities) for s in snaps])
         artifacts += [f"series{suffix}.csv", f"snapshots{suffix}.csv"]
         run_info = {"n_final": final.n, "support": support_radius(final),
                     "energy": float(series.energy[-1])}
@@ -621,7 +560,7 @@ def _run_simulate_particles(cfg, out, V=None, cloud=None):
                                  safety=cfg.particle_safety,
                                  rk_order=cfg.particle_rk_order,
                                  snapshot_stride=cfg.snapshot_stride)
-    _particles_csv(out / "particles.csv", snaps)
+    _snapshots_csv(out / "particles.csv", _cloud_header(dim.d), map(_cloud_columns, snaps))
     save_cloud(final, out / "cloud_final.csv")
     _write_json(out / "summary.json",
                 {"mode": "simulate_particles", "d": dim.d,
@@ -649,15 +588,15 @@ def _run_attract_steady(cfg, out):
         + (st.m0 * r * r + second_moment) / (2.0 * dim.d)
     if getattr(W.perturbation, "name", "zero") != "zero":
         phi = phi + spherical_mean_convolve(W.perturbation.value, rho, dim, r)
-    _steady_csv(out / "steady.csv", rho, phi)
+    write_table(out / "steady.csv", ("r", "rho", "phi"), (r, rho.values, phi))
     # radius_history is seeded with the start radius; row k pairs the
     # iteration-k residual with the radius that iteration produced
     ks = np.arange(1, len(fld.residual_history) + 1, dtype=float)
-    _write_csv(out / "iterations.csv", ("k", "residual", "R_k"),
-               (ks, fld.residual_history, fld.radius_history[1:]))
+    write_table(out / "iterations.csv", ("k", "residual", "R_k"),
+                (ks, fld.residual_history, fld.radius_history[1:]))
     _write_json(out / "summary.json",
                 {"mode": "attract_steady", "d": dim.d, "m0": st.m0,
-                 "R_inf": st.R_inf, "E_inf": attraction_energy(rho, W),
+                 "R_inf": st.R_inf, "E_inf": st.E_inf,
                  "iterations": fld.iteration, "residual": fld.residual,
                  "epsilon": W.epsilon or 0.0,
                  "allow_unproven": cfg.allow_unproven,
@@ -668,21 +607,9 @@ def _run_attract_steady(cfg, out):
     return ["steady.csv", "iterations.csv", "summary.json"]
 
 
-def _run_rates(cfg, out):
-    from pathlib import Path
-    src = Path(cfg.series_path or out)
-    if src.is_dir():
-        src = src / "series.csv"
-    if not src.exists():
-        raise ConfigError(f"series file {src} not found",
-                          reason="invalid solver config")
-    series = DiagnosticSeries.from_csv(src)
-    # the series records the dimension it was run in; the config's is a fallback
-    d = series.params.get("d", cfg.dimension)
-    dim = Dimension(d) if d else None
+def _run_rates(cfg, out, src, series, dim):
     summary = {"mode": "rates", "series": str(src)}
-    quantities = cfg.rate_quantities or ("energy_gap",)
-    cfg = replace(cfg, rate_quantities=quantities)
+    cfg = replace(cfg, rate_quantities=cfg.rate_quantities or ("energy_gap",))
     artifacts = _rate_fits(cfg, series, dim, out, summary)
     _write_json(out / "summary.json", summary)
     return artifacts + ["summary.json"]
@@ -739,12 +666,18 @@ def _read_inputs(cfg):
         # a loaded cloud is an initial condition: its clock restarts at zero
         inputs["cloud"] = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),
                                   time=0.0)
+    if cfg.mode == "rates":
+        src = Path(cfg.series_path or cfg.out)
+        inputs["src"] = src / "series.csv" if src.is_dir() else src
+        inputs["series"] = _load_input(inputs["src"], DiagnosticSeries.from_csv)
+        # the series records the dimension it was run in; the config's is a fallback
+        d = inputs["series"].params.get("d", cfg.dimension)
+        inputs["dim"] = Dimension(d) if d else None
     return inputs
 
 
 def run(cfg, config_sha=None):
     """Execute one experiment; returns 0 and leaves artifacts in cfg.out."""
-    from pathlib import Path
     cfg.validate()
     t0 = time.perf_counter()
     inputs = _read_inputs(cfg)

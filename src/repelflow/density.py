@@ -39,6 +39,13 @@ def _cell_power_moments(grid, values, p):
             + b * np.diff(grid ** (p + 2)) / (p + 2))
 
 
+def _cumulative_mass(grid, values, dim):
+    """Enclosed mass at the grid nodes (from the left end for d = 1)."""
+    cells = _cell_power_moments(grid, values, dim.d - 1)
+    m = (1.0 if dim.d == 1 else dim.sphere_area) * np.concatenate([[0.0], np.cumsum(cells)])
+    return np.maximum.accumulate(np.clip(m, 0.0, None))
+
+
 def _cell_log_moments(grid, values):
     """Exact per-cell integrals of (linear interpolant) * s * log s.
 
@@ -112,9 +119,7 @@ class RadialDensity:
     def cumulative_mass(self):
         """Enclosed mass M at the grid nodes (from the left end for d = 1)."""
         if self._cum is None:
-            cells = _cell_power_moments(self.grid, self.values, self._weight_power())
-            m = self._prefactor() * np.concatenate([[0.0], np.cumsum(cells)])
-            self._cum = np.maximum.accumulate(np.clip(m, 0.0, None))
+            self._cum = _cumulative_mass(self.grid, self.values, self.dim)
         return self._cum
 
     def _l1_knots(self):

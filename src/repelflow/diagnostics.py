@@ -9,12 +9,11 @@ dE_N/dt = -sum m_i u_i^2 holds discretely and energy gaps can be measured
 against the steady quantile configuration without quadrature noise.
 """
 
-import ast
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .density import RadialDensity, radial_energy
 from .density import l1_distance as _l1_profiles
 from .errors import ConfigError, NumericsError
@@ -118,6 +117,9 @@ def l1_to_steady(state, steady):
     return _l1_profiles(profile, target)
 
 
+SERIES_COLUMNS = ("t", "E", "D", "F", "R", "lyapunov", "l1")
+
+
 @dataclass
 class DiagnosticSeries:
     """Per-snapshot time series of every functional in the decay analysis."""
@@ -143,36 +145,18 @@ class DiagnosticSeries:
             raise NumericsError("energy increased beyond tolerance", reason="invalid series")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            for key in sorted(self.params):
-                fh.write(f"# {key} = {self.params[key]!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "E", "D", "F", "R", "lyapunov", "l1"])
-            for row in zip(self.times, self.energy, self.dissipation, self.discrepancy,
-                           self.support, self.lyapunov, self.l1_dist):
-                writer.writerow([f"{x:.17g}" for x in row])
+        write_table(path, SERIES_COLUMNS,
+                    (self.times, self.energy, self.dissipation, self.discrepancy,
+                     self.support, self.lyapunov, self.l1_dist), self.params)
 
     @classmethod
     def from_csv(cls, path):
-        params = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    key, _, raw = line[1:].partition("=")
-                    try:
-                        params[key.strip()] = ast.literal_eval(raw.strip())
-                    except (ValueError, SyntaxError, TypeError):
-                        params[key.strip()] = raw.strip()
-                    continue
-                rows.append(line)
-        data = list(csv.reader(rows))
-        body = np.array([[float(x) for x in row] for row in data[1:]])
-        if body.shape[0] == 0 or body.shape[1] != 7:
+        params, rows = read_table(path, "series file", "invalid series",
+                                  lambda n: SERIES_COLUMNS)
+        numbers = all(type(params.get(k, 0.0)) in (int, float) for k in ("E_inf", "R_inf"))
+        if rows.shape[1] != len(SERIES_COLUMNS) or not numbers:
             raise ConfigError(f"malformed series file {path}", reason="invalid series")
-        return cls(times=body[:, 0], energy=body[:, 1], dissipation=body[:, 2],
-                   discrepancy=body[:, 3], support=body[:, 4], lyapunov=body[:, 5],
-                   l1_dist=body[:, 6], params=params)
+        return cls(*rows.T, params=params)
 
 
 def collect_series(snapshots, V, steady=None, eps1=0.1, eps2=0.01, m=None,

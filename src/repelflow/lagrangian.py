@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._cubic import pchip
-from .density import RadialDensity
+from .density import RadialDensity, _cumulative_mass
 from .errors import ConfigError, PotentialError, ResolutionWarning, StiffnessError
 from .steady import solve_support_radius
 
@@ -341,9 +341,9 @@ def reconstruct_density(state, refine=2):
     elif d >= 2:
         fine[0] = 0.0
     support = hi if d >= 2 else max(abs(lo), abs(hi))
-    out = RadialDensity(fine, fine_vals, state.dim, support_radius=support)
     # the quantile masses are authoritative: pin the reconstructed mass to m0
-    out = RadialDensity(fine, fine_vals * (state.m0 / out.mass), state.dim,
+    mass = float(_cumulative_mass(fine, fine_vals, state.dim)[-1])
+    out = RadialDensity(fine, fine_vals * (state.m0 / mass), state.dim,
                         support_radius=support)
 
     # estimator B on interior midpoints

@@ -20,12 +20,12 @@ unordered pair is visited once; its coefficient depends on r_ij alone and
 serves both orders.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._table import read_table, write_table
 from .errors import ConfigError, DivergenceError, ResolutionWarning
 
 __all__ = [
@@ -65,10 +65,10 @@ class ParticleCloud:
             raise ConfigError("positions must be (N, d)", reason="invalid cloud")
         if not np.all(np.isfinite(self.positions)):
             raise ConfigError("positions must be finite", reason="invalid cloud")
-        if np.any(self.weights <= 0.0):
-            raise ConfigError("weights must be positive", reason="invalid cloud")
-        if self.delta_reg <= 0.0:
-            raise ConfigError("regularization length must be positive",
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0.0)):
+            raise ConfigError("weights must be finite and positive", reason="invalid cloud")
+        if not 0.0 < self.delta_reg < np.inf:
+            raise ConfigError("regularization length must be finite and positive",
                               reason="invalid cloud")
 
 
@@ -307,44 +307,32 @@ def cloud_support_radius(cloud):
     return float(r[-1] + 0.5 * (r[-1] - r[-2]))
 
 
+def _cloud_header(d):
+    """Column names of a cloud table: t, id, x1..xd, w."""
+    return ("t", "id") + tuple(f"x{k + 1}" for k in range(d)) + ("w",)
+
+
+def _cloud_columns(cloud):
+    """The columns _cloud_header names, one row per particle."""
+    return (np.full(cloud.n, cloud.time), np.arange(cloud.n, dtype=float),
+            *cloud.positions.T, cloud.weights)
+
+
 def save_cloud(cloud, path):
-    """CSV rows (t, id, x_1..x_d, w); regularization kept in a header comment."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# delta_reg = {cloud.delta_reg!r}\n")
-        fh.write(f"# d = {cloud.dim.d}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t", "id"] + [f"x{k + 1}" for k in range(cloud.dim.d)] + ["w"])
-        for i in range(cloud.n):
-            row = [f"{cloud.time:.17g}", str(i)]
-            row += [f"{x:.17g}" for x in cloud.positions[i]]
-            row.append(f"{cloud.weights[i]:.17g}")
-            writer.writerow(row)
+    """Table of _cloud_columns; regularization and dimension as parameters."""
+    write_table(path, _cloud_header(cloud.dim.d), _cloud_columns(cloud),
+                {"delta_reg": cloud.delta_reg, "d": cloud.dim.d})
 
 
 def load_cloud(path):
+    """The cloud save_cloud wrote; a malformed file is a ConfigError."""
     from .geometry import Dimension
-    delta = None
-    d = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, _, raw = line[1:].partition("=")
-                key = key.strip()
-                if key == "delta_reg":
-                    delta = float(raw)
-                elif key == "d":
-                    d = int(raw)
-                continue
-            rows.append(line)
-    data = list(csv.reader(rows))
-    header, body = data[0], data[1:]
-    if d is None:
-        d = len(header) - 3
-    if delta is None or not body:
+    params, rows = read_table(path, "cloud file", "invalid cloud",
+                              lambda n: _cloud_header(n - 3))
+    d, delta = params.get("d"), params.get("delta_reg")
+    if type(d) is not int or type(delta) not in (int, float) or rows.shape[1] != d + 3:
         raise ConfigError(f"malformed cloud file {path}", reason="invalid cloud")
-    arr = np.array([[float(x) for x in row] for row in body])
-    cloud = ParticleCloud(positions=arr[:, 2:2 + d], weights=arr[:, 2 + d],
-                          delta_reg=delta, dim=Dimension(d), time=float(arr[0, 0]))
+    cloud = ParticleCloud(positions=rows[:, 2:-1], weights=rows[:, -1],
+                          delta_reg=float(delta), dim=Dimension(d), time=float(rows[0, 0]))
     cloud.validate()
     return cloud

@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
-                           RHO0_KINDS, RHO0_KEYS, main, _write_csv,
-                           _CSV_BLOCK_ROWS)
-from repelflow import Dimension, build_steady_state, quartic, verify_steady
+                           RHO0_KINDS, RHO0_KEYS, main)
+from repelflow._table import _CSV_BLOCK_ROWS, read_table, write_table
+from repelflow import (Dimension, ParticleCloud, build_steady_state, load_cloud,
+                       quartic, save_cloud, verify_steady)
 from repelflow.diagnostics import DiagnosticSeries
 from repelflow.lagrangian import CROSSING_POLICIES
 from repelflow.errors import ConfigError
@@ -26,6 +27,20 @@ from repelflow.errors import ConfigError
 def _write_ini(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _tables_read_back(out):
+    """Every CSV the manifest lists reads back with its column line's width."""
+    names = [name for name in json.loads((out / "manifest.json").read_text())["artifacts"]
+             if name.endswith(".csv")]
+    assert names
+    for name in names:
+        comments = [line for line in (out / name).read_text().splitlines()
+                    if line.startswith("# ")]
+        header = [line for line in comments if " = " not in line]
+        _, rows = read_table(out / name, name, "invalid table")
+        assert len(header) == 1 and comments[-1] == header[0]
+        assert rows.shape[1] == len(header[0][2:].split(","))
 
 
 def test_ini_round_trip(tmp_path):
@@ -98,6 +113,7 @@ m0 = 2.0
     x, rho, phi = np.loadtxt(out / "steady.csv", delimiter=",", unpack=True)
     assert x[0] == pytest.approx(-1.0, abs=1e-8)
     assert np.max(np.abs(rho - 1.0)) < 1e-6
+    _tables_read_back(out)
     assert np.max(np.abs(phi - summary["potential_plateau"])) < 1e-6
 
 
@@ -133,7 +149,7 @@ def test_csv_rows_match_the_per_value_format(tmp_path, n_rows):
     columns += [np.resize(signed, n_rows),
                 np.random.default_rng(0).standard_normal(n_rows)]
     path = tmp_path / "rows.csv"
-    _write_csv(path, ("a", "b", "c", "d", "e"), columns)
+    write_table(path, ("a", "b", "c", "d", "e"), columns)
     rows = np.column_stack(columns)
     expect = "# a,b,c,d,e\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
                                    for row in rows)
@@ -611,7 +627,9 @@ series = /nonexistent/series.csv
 """)
     rc = main(["rates", "--config", ini, "--out", str(tmp_path / "f")])
     assert rc == 2
-    capsys.readouterr()
+    assert "reason: invalid solver config" in capsys.readouterr().err
+    # the series is read before the output directory is made
+    assert not (tmp_path / "f").exists()
 
 
 def test_rates_takes_dimension_from_series_header(tmp_path):
@@ -689,6 +707,7 @@ def test_radial_artifacts_and_manifest(tmp_path):
     series = DiagnosticSeries.from_csv(out / "series.csv")
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(1.0, abs=1e-12)
+    _tables_read_back(out)
 
 
 _STEADY_PROBE = """
@@ -744,6 +763,7 @@ mode = confinement
     assert main(["simulate_particles", "--config", ini, "--out", str(out3),
                  "--seed", "4"]) == 0
     assert (out1 / "cloud_final.csv").read_bytes() != (out3 / "cloud_final.csv").read_bytes()
+    _tables_read_back(out1)
 
 
 def test_attraction_baseline_through_cli(tmp_path):
@@ -770,3 +790,110 @@ n_grid = 257
                                unpack=True, ndmin=2).reshape(3, -1)
     assert k[0] == 1.0 and res[0] == 0.0
     assert radii[0] == pytest.approx(summary["R_inf"], rel=1e-12)
+    _tables_read_back(out)
+
+
+_CLOUD_ROWS = "0,0,0.5,0,0.25\n0,1,-0.5,0,0.25\n0,2,0,0.5,0.25\n0,3,0,-0.5,0.25\n"
+_SERIES_ROWS = "0,2,1,1,1,1,1\n1,1.5,1,1,1,1,1\n"
+_MALFORMED = {
+    "cloud": ("# d = 2\n# delta_reg = 0.05\n# t,id,x1,x2,w\n", _CLOUD_ROWS,
+              "0,1,-0.5,0,0.25", "simulate_particles",
+              "[rho0]\nkind = cloud\npath = {path}\n\n[particles]\nt_end = 0.01\n"),
+    "series": ("# d = 3\n# t,E,D,F,R,lyapunov,l1\n", _SERIES_ROWS,
+               "1,1.5,1,1,1,1,1", "rates", "[rates]\nseries = {path}\n"),
+}
+
+
+def _input_table_run(tmp_path, kind, text):
+    head, _, _, mode, section = _MALFORMED[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text, newline="")
+    ini = _write_ini(tmp_path / "in.ini", f"[run]\nmode = {mode}\n\n[problem]\n"
+                     "dimension = 2\n\n" + section.format(path=path))
+    out = tmp_path / "out"
+    return main([mode, "--config", ini, "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("body", ["text", "ragged", "empty"])
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_input_tables_exit_2(tmp_path, capsys, kind, body):
+    head, rows, row, _, _ = _MALFORMED[kind]
+    bad = {"text": row.replace("1", "one", 1), "ragged": row.rsplit(",", 1)[0],
+           "empty": None}[body]
+    text = head if bad is None else head + rows.replace(row, bad)
+    rc, out = _input_table_run(tmp_path, kind, text)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "is not numeric CSV" in err and "error: " in err
+    assert f"reason: invalid {kind}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, params, reason", [
+    ("cloud", "# d = 2\n# delta_reg = nan\n", "invalid cloud"),
+    ("cloud", "# d = 2\n# delta_reg = inf\n", "invalid cloud"),
+    ("cloud", "# d = 2\n# delta_reg = 'wide'\n", "invalid cloud"),
+    ("cloud", "# delta_reg = 0.05\n", "invalid cloud"),
+    ("cloud", "# d = 3\n# delta_reg = 0.05\n", "invalid cloud"),
+    ("series", "# E_inf = 'low'\n", "invalid series"),
+    ("series", "# R_inf = [1.0]\n", "invalid series"),
+    ("series", "# d = 2.0\n", "invalid dimension"),
+    ("series", "# d = 9\n", "invalid dimension"),
+], ids=["nan-delta", "inf-delta", "text-delta", "no-d", "wrong-d", "text-E_inf",
+        "list-R_inf", "float-d", "d-9"])
+def test_input_files_with_bad_parameters_exit_2(tmp_path, capsys, kind, params, reason):
+    rows = _CLOUD_ROWS if kind == "cloud" else _SERIES_ROWS
+    rc, out = _input_table_run(tmp_path, kind, params + rows)
+    assert rc == 2
+    assert f"reason: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cloud_with_a_non_finite_weight_exits_2(tmp_path, capsys):
+    rows = _CLOUD_ROWS.replace("0,3,0,-0.5,0.25", "0,3,0,-0.5,nan")
+    rc, out = _input_table_run(tmp_path, "cloud", "# d = 2\n# delta_reg = 0.05\n" + rows)
+    assert rc == 2
+    assert "reason: invalid cloud" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cloud_with_numpy_scalar_regularization_round_trips(tmp_path):
+    rng = np.random.default_rng(5)
+    cloud = ParticleCloud(positions=rng.normal(size=(16, 2)), weights=np.full(16, 0.25),
+                          delta_reg=np.float64(0.05), dim=Dimension(2), time=1.5)
+    path = tmp_path / "cloud.csv"
+    save_cloud(cloud, path)
+    assert path.read_text().startswith("# d = 2\n# delta_reg = 0.05\n# t,id,x1,x2,w\n")
+    back = load_cloud(path)
+    assert back.delta_reg == 0.05 and back.time == 1.5
+    assert np.array_equal(back.positions, cloud.positions)
+    assert np.array_equal(back.weights, cloud.weights)
+    rc, out = _input_table_run(tmp_path, "cloud", path.read_text())
+    assert rc == 0
+    assert json.loads((out / "summary.json").read_text())["delta_reg"] == 0.05
+
+
+def test_tables_written_before_the_commented_column_line_still_read(tmp_path):
+    # the earlier writers put the column names on an uncommented first row
+    # and ended rows with '\r\n'
+    rc, out = _input_table_run(tmp_path, "cloud", "# delta_reg = 0.05\n# d = 2\n"
+                               "t,id,x1,x2,w\r\n" + _CLOUD_ROWS.replace("\n", "\r\n"))
+    assert rc == 0
+    assert json.loads((out / "summary.json").read_text())["n"] == 4
+    t = np.linspace(0.0, 12.0, 121)
+    gap = (1.0 + t) ** -2
+    rows = "".join("%.17g,%.17g,0,0,1,%.17g,%.17g\r\n" % (a, 1.0 + g, 1.0 + g, g)
+                   for a, g in zip(t, gap))
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "series.csv").write_text("# E_inf = 1.0\n# R_inf = 1.0\n# d = 3\n"
+                                        "t,E,D,F,R,lyapunov,l1\r\n" + rows, newline="")
+    series = DiagnosticSeries.from_csv(run_dir / "series.csv")
+    assert np.array_equal(series.times, t) and np.array_equal(series.l1_dist, gap)
+    assert series.params == {"E_inf": 1.0, "R_inf": 1.0, "d": 3}
+    ini = _write_ini(tmp_path / "r.ini", f"[run]\nmode = rates\n\n[rates]\n"
+                     f"quantity = energy_gap, l1\nseries = {run_dir}\n")
+    assert main(["rates", "--config", ini, "--out", str(tmp_path / "fit")]) == 0
+    summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    for q in ("energy_gap", "l1"):
+        assert summary[f"rate_{q}"]["gamma_hat"] == pytest.approx(2.0, rel=1e-9)

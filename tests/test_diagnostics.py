@@ -137,6 +137,10 @@ def test_series_header_is_read_as_literals(tmp_path):
     text = path.read_text().replace("# d = 3", "# d = __import__('os')")
     path.write_text(text)
     assert DiagnosticSeries.from_csv(path).params["d"] == "__import__('os')"
+    # so is a value too deep for the parser
+    for raw in ("-" * 100000 + "1", "1+" * 100000 + "1"):
+        path.write_text(text.replace("# d = __import__('os')", f"# d = {raw}"))
+        assert DiagnosticSeries.from_csv(path).params["d"] == raw
 
 
 def _synthetic(times, gaps):

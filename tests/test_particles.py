@@ -251,3 +251,13 @@ def test_validation():
     with pytest.raises(ConfigError):
         ParticleCloud(positions=np.zeros((2, 2)), weights=np.array([1.0, -1.0]),
                       delta_reg=1e-3, dim=d).validate()
+
+
+@pytest.mark.parametrize("weight, delta", [(np.nan, 1e-3), (np.inf, 1e-3),
+                                           (1.0, np.nan), (1.0, np.inf)])
+def test_non_finite_weights_and_regularization_are_refused(weight, delta):
+    cloud = ParticleCloud(positions=np.zeros((2, 2)), weights=np.array([1.0, weight]),
+                          delta_reg=delta, dim=Dimension(2))
+    with pytest.raises(ConfigError) as err:
+        cloud.validate()
+    assert err.value.reason == "invalid cloud"
