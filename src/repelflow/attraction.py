@@ -14,10 +14,11 @@ conservative.
 
 Each convolution integrates the sphere mean K(r, s) of the kernel over the
 density's radii s.  K of a smooth kernel is analytic, hence numerically low
-rank: ``spherical_mean_convolve`` reads it from a p x p Chebyshev-Lobatto
-grid whose half-node interpolant certifies it, and evaluates it at every
-(r, s) pair only when no grid up to p = 257 certifies.  The shell sums of
-``shell_mean`` and ``effective_attraction_potential`` evaluate K pointwise.
+rank: ``_convolution``, one operator per kernel and density, reads it from a
+p x p Chebyshev-Lobatto grid whose half-node interpolant certifies it (w = 0
+at p = 17, with C = 0), and evaluates it at every (r, s) pair only when no
+grid up to p = 257 certifies.  The shell sums of ``shell_mean`` and
+``effective_attraction_potential`` evaluate K pointwise.
 """
 
 import functools
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._cubic import hermite, simpson
-from .density import RadialDensity
+from .density import RadialDensity, newtonian_radial_potential
 from .errors import (ConfigError, ConvergenceError, NumericsError,
                      ResolutionError, ResolutionWarning)
 from .geometry import Dimension, edge_repulsion_bound
@@ -191,7 +192,53 @@ def _lowrank_kernel(f, dim, r_hi, s_hi):
     return None
 
 
-def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
+def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True):
+    """``spherical_mean_convolve`` as an operator r -> (f * rho)(r), r in [0, r_hi].
+
+    The kernel grid is certified once; on the low-rank path the s-integral
+    folds into p node values sigma_d C simpson(weight B_s^T, s), so any set
+    of radii costs one barycentric product.  ``refine_check`` False skips
+    the s-grid doubling.
+    """
+    if dim.d < 2:
+        raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
+    if n_s < 3 or n_s % 2 == 0:
+        raise ConfigError(f"n_s must be an odd count of at least 3, got {n_s}",
+                          reason="invalid solver config")
+    s_hi = min(rho.grid[-1], rho.support_radius)
+    s_grids = [np.linspace(0.0, s_hi, n)
+               for n in ((n_s, 2 * n_s - 1) if refine_check else (n_s,))]
+    weights = [rho(s) * s ** (dim.d - 1) for s in s_grids]
+    kernel = _lowrank_kernel(f, dim, r_hi, s_hi)
+    if kernel is None:
+        mean = _sphere_mean((f,), dim, r_hi + s_hi)
+
+        def integrals(r):
+            out = np.empty((len(s_grids), r.size))
+            for k, (s, weight) in enumerate(zip(s_grids, weights)):
+                for rows, block in _kernel_rows(mean, r, s):
+                    out[k, rows] = simpson(weight * block, x=s, axis=1)
+            return dim.sphere_area * out
+    else:
+        x, y, C = kernel
+        nodes = [dim.sphere_area * (C @ simpson(weight * _barycentric(y, s).T, x=s))
+                 for s, weight in zip(s_grids, weights)]
+
+        def integrals(r):
+            B = _barycentric(x, r)
+            return [B @ v for v in nodes]
+
+    def convolve(r):
+        *coarse, out = integrals(np.atleast_1d(np.asarray(r, dtype=float)))
+        scale = np.maximum(np.abs(out), 1e-12 * max(1.0, float(np.max(np.abs(out)))))
+        if any(np.any(np.abs(out - c) > 1e-6 * scale) for c in coarse):
+            raise ResolutionError("spherical convolution did not converge under "
+                                  "s-grid doubling", reason="insufficient resolution")
+        return out
+    return convolve
+
+
+def spherical_mean_convolve(f, rho, dim, r, n_s=1025):
     """(f * rho)(r) for radial f and rho.
 
     Reduces the volume convolution to
@@ -211,41 +258,7 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025, _refine_check=True):
     G' = t f(t), elsewhere the angular rule.  Doubling the s-grid must move
     the result by less than 1e-6 relative, else a resolution error is raised.
     """
-    if dim.d < 2:
-        raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
-    if n_s < 3 or n_s % 2 == 0:
-        raise ConfigError(f"n_s must be an odd count of at least 3, got {n_s}",
-                          reason="invalid solver config")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    s_hi = min(rho.grid[-1], rho.support_radius)
-    r_hi = float(np.max(r, initial=0.0))
-    grid = _lowrank_kernel(f, dim, r_hi, s_hi)
-    if grid is None:
-        mean = _sphere_mean((f,), dim, r_hi + s_hi)
-    else:
-        x, y, C = grid
-        left = _barycentric(x, r) @ C
-
-    def evaluate(n):
-        s = np.linspace(0.0, s_hi, n)
-        rho_s = rho(s)
-        weight = rho_s * s ** (dim.d - 1)
-        if grid is not None:
-            return dim.sphere_area * (left @ simpson(weight * _barycentric(y, s).T, x=s))
-        out = np.empty_like(r)
-        for rows, block in _kernel_rows(mean, r, s):
-            out[rows] = simpson(weight * block, x=s, axis=1)
-        return dim.sphere_area * out
-
-    out = evaluate(n_s)
-    if _refine_check:
-        fine = evaluate(2 * n_s - 1)
-        scale = np.maximum(np.abs(fine), 1e-12 * max(1.0, float(np.max(np.abs(fine)))))
-        if np.any(np.abs(fine - out) > 1e-6 * scale):
-            raise ResolutionError("spherical convolution did not converge under "
-                                  "s-grid doubling", reason="insufficient resolution")
-        out = fine
-    return out
+    return _convolution(f, rho, dim, float(np.max(r, initial=0.0)), n_s)(r)
 
 
 def shell_mean(f, r, s, dim):
@@ -382,19 +395,21 @@ def _field_tables(grid, lap_vals, dim, m0_quad):
     return slope, second
 
 
+def _field_and_energy(density, W, r):
+    """(W * density)(r) at radii r that begin with the density's grid, the
+    quadratic part in closed form, and the energy that field gives."""
+    grid = density.grid
+    second_moment = float(density._quadrature(density.values * grid * grid))
+    w = _convolution(W.perturbation.value, density, density.dim, float(np.max(r)))
+    field = (density.mass * r * r + second_moment) / (2.0 * density.dim.d) + w(r)
+    phi = newtonian_radial_potential(density)
+    return field, float(density._quadrature(
+        (0.5 * phi + 0.5 * field[:grid.size]) * density.values))
+
+
 def attraction_energy(density, W):
     """E = 1/2 int Phi_N rho + 1/2 int (W * rho) rho for a radial profile."""
-    from .density import newtonian_radial_potential
-    dim = density.dim
-    r = density.grid
-    m0 = density.mass
-    second_moment = float(density._quadrature(density.values * r * r))
-    quad_part = (m0 * r * r + second_moment) / (2.0 * dim.d)
-    pert = W.perturbation
-    if getattr(pert, "name", "") != "zero":
-        quad_part = quad_part + spherical_mean_convolve(pert.value, density, dim, r)
-    phi = newtonian_radial_potential(density)
-    return float(density._quadrature((0.5 * phi + 0.5 * quad_part) * density.values))
+    return _field_and_energy(density, W, density.grid)[1]
 
 
 def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
@@ -411,6 +426,9 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     if n_grid < MIN_GRID:
         raise ConfigError(f"n_grid must be at least {MIN_GRID}",
                           reason="invalid solver config")
+    if max_iter < 1 or not tol > 0.0:
+        raise ConfigError(f"need tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}",
+                          reason="invalid solver config")
     eps = W.epsilon
     report = check_smallness(eps, dim)
     if not report.passed:
@@ -423,11 +441,8 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
                       f"(eps* = {report.eps_star:.4g}); contraction is checked "
                       "empirically", ResolutionWarning)
 
-    pert = W.perturbation
-    pert_is_zero = getattr(pert, "name", "") == "zero"
-
     def dw(r):
-        return pert.laplacian(r, dim)
+        return W.perturbation.laplacian(r, dim)
 
     R = dim.ball_volume ** (-1.0 / dim.d) * 1.0
     # w = 0 closed form: rho = m0 on the ball of unit volume scaled by mass
@@ -440,19 +455,11 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     converged = False
 
     for _ in range(max_iter):
+        lap_w = _convolution(dw, rho, dim, 2.0 * rho.support_radius, refine_check=False)
         search = np.linspace(0.0, 2.0 * rho.support_radius, 2 * n_grid - 1)
-        if pert_is_zero:
-            lap_new_search = np.full_like(search, m0)
-        else:
-            lap_new_search = m0 + spherical_mean_convolve(dw, rho, dim, search,
-                                                          _refine_check=False)
-        R_new = _radius_from_laplacian(search, lap_new_search, dim, m0)
+        R_new = _radius_from_laplacian(search, m0 + lap_w(search), dim, m0)
         grid_new = np.linspace(0.0, R_new, n_grid)
-        if pert_is_zero:
-            lap_new = np.full_like(grid_new, m0)
-        else:
-            lap_new = m0 + spherical_mean_convolve(dw, rho, dim, grid_new,
-                                                   _refine_check=False)
+        lap_new = m0 + lap_w(grid_new)
         old_on_new = np.interp(grid_new, rho.grid, rho.values)
         residual = float(np.max(np.abs(lap_new - old_on_new)))
         if len(residuals) >= 2 and residual > residuals[-1] > residuals[-2]:
@@ -477,20 +484,14 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
         raise NumericsError("converged profile violates the m0 (1 +- eps) band",
                             reason="numerics failure")
 
-    # fresh field from the converged density, for the honest velocity check
-    field_grid = np.linspace(0.0, 2.0 * R_inf, 2 * n_grid - 1)
-    if pert_is_zero:
-        lap_field = np.full_like(field_grid, m0)
-    else:
-        lap_field = m0 + spherical_mean_convolve(dw, rho, dim, field_grid)
+    # fresh field from the converged density, for the honest velocity check;
+    # its knots begin with the density's grid, where E_inf reads the field
+    field_grid = np.concatenate([rho.grid, R_inf + rho.grid[1:]])
+    lap_field = m0 + _convolution(dw, rho, dim, 2.0 * R_inf)(field_grid)
     slope, second = _field_tables(field_grid, lap_field, dim, m0)
-    second_moment = float(rho._quadrature(rho.values * rho.grid ** 2))
-    value = (m0 * field_grid ** 2 + second_moment) / (2.0 * dim.d)
-    if not pert_is_zero:
-        value = value + spherical_mean_convolve(pert.value, rho, dim, field_grid)
+    value, E_inf = _field_and_energy(rho, W, field_grid)
     V_tilde = table_potential(field_grid, value, slope, second, name="attraction field")
 
-    E_inf = attraction_energy(rho, W)
     state = SteadyState(density=rho, R_inf=float(R_inf), E_inf=float(E_inf),
                         potential_plateau=float(value[0]), m0=float(m0))
     check = verify_steady(state, V_tilde, tol=1e-6 * m0 * R_inf)
@@ -502,7 +503,7 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     field = SelfConsistentField(V_tilde=V_tilde,
                                 laplacian_bounds=(lo_b, hi_b),
                                 iteration=len(residuals),
-                                residual=residuals[-1] if residuals else 0.0,
+                                residual=residuals[-1],
                                 residual_history=np.asarray(residuals),
                                 radius_history=np.asarray(radii))
     return state, field

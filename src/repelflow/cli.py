@@ -35,8 +35,7 @@ from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_stead
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius, _cloud_header,
                         _cloud_columns)
-from .attraction import (MIN_GRID, solve_attraction_steady, check_smallness,
-                         spherical_mean_convolve)
+from .attraction import MIN_GRID, solve_attraction_steady, check_smallness
 from ._table import read_table, write_table
 from .errors import SolverError, ConfigError, PotentialError
 
@@ -122,12 +121,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choices: {', '.join(choices)}",
                                   reason="invalid solver config")
-        if self.m0 <= 0.0:
-            raise ConfigError("m0 must be positive",
-                              reason="invalid solver config")
+        for setting, value in (("[problem] m0", self.m0),
+                               ("[attraction] tol", self.attraction_tol),
+                               ("[particles] dt_max", self.particle_dt_max),
+                               ("[particles] safety", self.particle_safety)):
+            if not value > 0.0:
+                raise ConfigError(f"{setting} must be positive",
+                                  reason="invalid solver config")
         for setting, count, least in (
                 ("[solver] n_quantiles", self.n_quantiles, MIN_QUANTILES),
                 ("[attraction] n_grid", self.attraction_n_grid, MIN_GRID),
+                ("[attraction] max_iter", self.attraction_max_iter, 1),
                 ("[particles] n", self.n_particles, 1)):
             if count < least:
                 raise ConfigError(f"{setting} must be at least {least}",
@@ -542,10 +546,9 @@ def _run_simulate_radial(cfg, out, V):
     return artifacts + ["summary.json"]
 
 
-def _run_simulate_particles(cfg, out, V=None, cloud=None):
+def _run_simulate_particles(cfg, out, V=None, W=None, cloud=None):
     dim = Dimension(cfg.dimension)
     rng = np.random.default_rng(cfg.seed)
-    W = build_attraction(cfg, dim) if cfg.particle_mode == "attraction" else None
     if cloud is None:
         rho0 = build_density(cfg.rho0, dim, cfg.m0)
         # regularization scale set by the terminal density: Lap V on the
@@ -572,23 +575,18 @@ def _run_simulate_particles(cfg, out, V=None, cloud=None):
     return ["particles.csv", "cloud_final.csv", "summary.json"]
 
 
-def _run_attract_steady(cfg, out):
-    dim = Dimension(cfg.dimension)
-    W = build_attraction(cfg, dim)
-    report = check_smallness(W.epsilon or 0.0, dim)
+def _run_attract_steady(cfg, out, W):
+    dim = W.dim
+    report = check_smallness(W.epsilon, dim)
     st, fld = solve_attraction_steady(W, dim, cfg.m0,
                                       tol=cfg.attraction_tol,
                                       max_iter=cfg.attraction_max_iter,
                                       n_grid=cfg.attraction_n_grid,
                                       allow_unproven=cfg.allow_unproven)
     rho = st.density
-    r = rho.grid
-    second_moment = float(rho._quadrature(rho.values * r * r))
-    phi = newtonian_radial_potential(rho) \
-        + (st.m0 * r * r + second_moment) / (2.0 * dim.d)
-    if getattr(W.perturbation, "name", "zero") != "zero":
-        phi = phi + spherical_mean_convolve(W.perturbation.value, rho, dim, r)
-    write_table(out / "steady.csv", ("r", "rho", "phi"), (r, rho.values, phi))
+    # the field's knots begin with the density's grid, so this reads W * rho
+    phi = newtonian_radial_potential(rho) + fld.V_tilde.value(rho.grid)
+    write_table(out / "steady.csv", ("r", "rho", "phi"), (rho.grid, rho.values, phi))
     # radius_history is seeded with the start radius; row k pairs the
     # iteration-k residual with the radius that iteration produced
     ks = np.arange(1, len(fld.residual_history) + 1, dtype=float)
@@ -598,7 +596,7 @@ def _run_attract_steady(cfg, out):
                 {"mode": "attract_steady", "d": dim.d, "m0": st.m0,
                  "R_inf": st.R_inf, "E_inf": st.E_inf,
                  "iterations": fld.iteration, "residual": fld.residual,
-                 "epsilon": W.epsilon or 0.0,
+                 "epsilon": W.epsilon,
                  "allow_unproven": cfg.allow_unproven,
                  "smallness": {"passed": bool(report.passed),
                                "eps_star": report.eps_star,
@@ -662,6 +660,9 @@ def _read_inputs(cfg):
     if cfg.mode in ("steady", "simulate_radial", "validate") or (
             particles and cfg.particle_mode == "confinement"):
         inputs["V"] = build_confinement(cfg)
+    if cfg.mode == "attract_steady" or (
+            particles and cfg.particle_mode == "attraction"):
+        inputs["W"] = build_attraction(cfg, Dimension(cfg.dimension))
     if particles and cfg.rho0.get("kind") == "cloud":
         # a loaded cloud is an initial condition: its clock restarts at zero
         inputs["cloud"] = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),

@@ -96,6 +96,9 @@ class EvolutionConfig:
             raise ConfigError(f"unknown crossing_policy {self.crossing_policy!r}; "
                               f"choices: {', '.join(CROSSING_POLICIES)}",
                               reason="invalid solver config")
+        if self.snapshot_stride < 1:
+            raise ConfigError("snapshot_stride must be at least 1",
+                              reason="invalid solver config")
 
 
 def init_lagrangian(rho0, N, dim, dt_init=0.01):

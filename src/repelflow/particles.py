@@ -244,6 +244,12 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
 
     Returns (final cloud, snapshots); snapshots include t = 0 and t_end.
     """
+    if not (dt_max > 0.0 and safety > 0.0):
+        raise ConfigError("dt_max and safety must be positive",
+                          reason="invalid solver config")
+    if snapshot_stride < 1:
+        raise ConfigError("snapshot_stride must be at least 1",
+                          reason="invalid solver config")
     snapshots = [cloud]
     steps = 0
     while cloud.time < t_end - 1e-12:

@@ -222,6 +222,12 @@ class AttractionPotential:
         The sup is attained at the origin where Lap w = 2 d beta, so
         beta = sign * epsilon / (2 d).
         """
+        if sign not in (1, -1):
+            raise ConfigError(f"bump sign must be 1 or -1, got {sign!r}",
+                              reason="invalid solver config")
+        if not width > 0.0:
+            raise ConfigError(f"bump width must be positive, got {width!r}",
+                              reason="invalid solver config")
         beta = sign * epsilon / (2.0 * dim.d)
         s2 = width * width
 

@@ -11,7 +11,9 @@ from repelflow import (Dimension, uniform_ball, AttractionPotential,
                        spherical_mean_convolve, shell_mean, check_smallness,
                        solve_attraction_steady, effective_attraction_potential,
                        attraction_energy, init_lagrangian, verify_steady)
-from repelflow.attraction import _barycentric, _lobatto, _lowrank_kernel, _sphere_mean
+from repelflow import attraction
+from repelflow.attraction import (_barycentric, _convolution, _lobatto, _lowrank_kernel,
+                                  _sphere_mean)
 from repelflow.errors import ConfigError, ResolutionError, ResolutionWarning
 
 
@@ -120,10 +122,10 @@ def test_lowrank_convolution_matches_pointwise_kernel(d):
         assert _lowrank_kernel(f, dim, 2.0 * R, R) is not None
         expect = _pointwise_convolve(f, rho, dim, r)
         tol = 1e-12 * np.max(np.abs(expect))
-        out = spherical_mean_convolve(f, rho, dim, r, _refine_check=False)
+        out = _convolution(f, rho, dim, float(np.max(r)), refine_check=False)(r)
         assert np.max(np.abs(out - expect)) <= tol
         # a lone r = 0 spans no interval of r
-        origin = spherical_mean_convolve(f, rho, dim, np.zeros(1), _refine_check=False)
+        origin = _convolution(f, rho, dim, 0.0, refine_check=False)(np.zeros(1))
         assert abs(origin[0] - expect[0]) <= tol
 
 
@@ -255,6 +257,32 @@ def test_bump_fixed_point_d3_pinned():
     expect = [4.186587836487954e-3, 6.802208931677711e-6,
               1.144696137878043e-8, 1.9270363083023767e-11]
     assert np.allclose(field.residual_history, expect, rtol=0.0, atol=1e-10)
+
+
+def test_one_kernel_grid_per_operator(monkeypatch):
+    # one Lap w operator per iteration, then one Lap w and one w operator for
+    # the converged field, whose knots E_inf reuses
+    built = []
+    lowrank = attraction._lowrank_kernel
+    monkeypatch.setattr(attraction, "_lowrank_kernel",
+                        lambda *args: built.append(args) or lowrank(*args))
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.01)
+    with pytest.warns(ResolutionWarning):
+        st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
+                                            allow_unproven=True)
+    assert len(built) == field.iteration + 2
+    assert st.E_inf == pytest.approx(attraction_energy(st.density, W), rel=1e-14)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}])
+def test_solver_refuses_tol_and_max_iter(kwargs):
+    # tol = -1 used to run max_iter iterations, and max_iter = 0 none, before
+    # failing to converge
+    d3 = Dimension(3)
+    with pytest.raises(ConfigError) as err:
+        solve_attraction_steady(AttractionPotential(d3), d3, 1.0, n_grid=17, **kwargs)
+    assert err.value.reason == "invalid solver config"
 
 
 def test_effective_field_matches_converged_field():

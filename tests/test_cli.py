@@ -17,11 +17,12 @@ from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
                            RHO0_KINDS, RHO0_KEYS, main)
 from repelflow._table import _CSV_BLOCK_ROWS, read_table, write_table
-from repelflow import (Dimension, ParticleCloud, build_steady_state, load_cloud,
-                       quartic, save_cloud, verify_steady)
+from repelflow import (AttractionPotential, Dimension, ParticleCloud,
+                       build_steady_state, load_cloud, newtonian_radial_potential,
+                       quartic, save_cloud, solve_attraction_steady, verify_steady)
 from repelflow.diagnostics import DiagnosticSeries
 from repelflow.lagrangian import CROSSING_POLICIES
-from repelflow.errors import ConfigError
+from repelflow.errors import ConfigError, ResolutionWarning
 
 
 def _write_ini(path, text):
@@ -283,7 +284,8 @@ def test_unknown_names_exit_2(tmp_path, capsys, mode, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["n = 0", "n = -3", "rk_order = 3"])
+@pytest.mark.parametrize("line", ["n = 0", "n = -3", "rk_order = 3", "safety = 0",
+                                  "dt_max = 0", "dt_max = -0.1"])
 def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
     # checked before the output directory exists (n = 0 used to end in a
     # ZeroDivisionError traceback with exit 1)
@@ -301,7 +303,8 @@ def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
     ("dt_min = 0.5", "need 0 < dt_min <= dt_init <= dt_max"),
     ("dt_max = 0.001", "need 0 < dt_min <= dt_init <= dt_max"),
     ("rk_order = 3", "rk_order must be 2 or 4"),
-], ids=["dt-min", "dt-max", "rk-order"])
+    ("snapshot_stride = 0", "snapshot_stride must be at least 1"),
+], ids=["dt-min", "dt-max", "rk-order", "stride"])
 def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, line, message):
     # validate builds the run's EvolutionConfig, so its rules exit 2 before
     # config_used.ini and manifest.json are written
@@ -318,6 +321,7 @@ def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, line, messag
 @pytest.mark.parametrize("mode, line", [
     ("simulate_radial", "[solver]\nn_quantiles = 10"),
     ("attract_steady", "[attraction]\nn_grid = 1"),
+    ("attract_steady", "[attraction]\nmax_iter = 0"),
 ])
 def test_counts_below_the_solver_minimum_exit_2(tmp_path, capsys, mode, line):
     # the count the solver needs is checked before any artifact is written,
@@ -330,6 +334,55 @@ def test_counts_below_the_solver_minimum_exit_2(tmp_path, capsys, mode, line):
     assert f"error: {section} {key} must be at least " in err
     assert "reason: invalid solver config" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, lines, message", [
+    ("attract_steady", "epsilon = 0.01\nsign = 2", "bump sign must be 1 or -1"),
+    ("attract_steady", "epsilon = 0.01\nsign = 0", "bump sign must be 1 or -1"),
+    ("attract_steady", "epsilon = 0.01\nwidth = 0", "bump width must be positive"),
+    ("attract_steady", "tol = -1", "[attraction] tol must be positive"),
+    ("simulate_particles", "epsilon = 0.01\nsign = -2", "bump sign must be 1 or -1"),
+], ids=["sign-2", "sign-0", "width-0", "tol", "particles-sign"])
+def test_bad_attraction_settings_exit_2(tmp_path, capsys, mode, lines, message):
+    # the kernel is built with the other inputs, before the output directory:
+    # sign = 2 used to record half of sup |Lap w|, width = 0 exited 3 and
+    # tol = -1 exited 4 after max_iter iterations
+    ini = _write_ini(tmp_path / "a.ini", f"[run]\nmode = {mode}\n\n"
+                     "[particles]\nmode = attraction\n\n"
+                     f"[attraction]\nallow_unproven = yes\n{lines}\n")
+    out = tmp_path / "o"
+    assert main([mode, "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
+def test_attract_steady_reuses_the_solver_field(tmp_path, monkeypatch):
+    # the run builds the solver's kernel grids and no more, and steady.csv
+    # phi is Phi_N plus the converged field at the density's grid
+    from repelflow import attraction
+    built = []
+    lowrank = attraction._lowrank_kernel
+    monkeypatch.setattr(attraction, "_lowrank_kernel",
+                        lambda *args: built.append(args) or lowrank(*args))
+    ini = _write_ini(tmp_path / "a.ini", "[run]\nmode = attract_steady\n\n"
+                     "[attraction]\nepsilon = 0.01\nallow_unproven = yes\n"
+                     "n_grid = 129\n")
+    out = tmp_path / "o"
+    with pytest.warns(ResolutionWarning):
+        assert main(["attract_steady", "--config", ini, "--out", str(out)]) == 0
+    d3 = Dimension(3)
+    with pytest.warns(ResolutionWarning):
+        st, fld = solve_attraction_steady(AttractionPotential.gaussian_bump(d3, 0.01),
+                                          d3, 1.0, n_grid=129, allow_unproven=True)
+    assert len(built) == 2 * (fld.iteration + 2)
+    _, rows = read_table(out / "steady.csv", "steady.csv", "invalid table")
+    rho = st.density
+    assert np.array_equal(rows[:, 0], rho.grid)
+    assert np.array_equal(rows[:, 1], rho.values)
+    assert np.array_equal(rows[:, 2],
+                          newtonian_radial_potential(rho) + fld.V_tilde.value(rho.grid))
 
 
 @pytest.mark.parametrize("text", ["runs/a #1", "runs/a ;1", "#runs", ";runs",

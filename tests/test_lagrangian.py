@@ -36,6 +36,13 @@ def test_minimum_quantile_count():
         init_lagrangian(rho0, 8, Dimension(2))
 
 
+def test_snapshot_stride_below_one_is_refused():
+    # a zero stride used to divide by zero in evolve
+    with pytest.raises(ConfigError) as err:
+        EvolutionConfig(snapshot_stride=0)
+    assert err.value.reason == "invalid solver config"
+
+
 def test_steady_quantiles_are_fixed_points():
     d2 = Dimension(2)
     st = steady_quantile_state(quadratic(), d2, 2 * math.pi, 64)

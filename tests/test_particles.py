@@ -261,3 +261,15 @@ def test_non_finite_weights_and_regularization_are_refused(weight, delta):
     with pytest.raises(ConfigError) as err:
         cloud.validate()
     assert err.value.reason == "invalid cloud"
+
+
+@pytest.mark.parametrize("kwargs", [{"safety": 0.0}, {"dt_max": 0.0},
+                                    {"dt_max": -0.1}, {"snapshot_stride": 0}])
+def test_step_rules_are_refused(kwargs):
+    # safety = 0 used to loop forever on dt = 0, a negative dt_max ran time
+    # backwards and snapshot_stride = 0 divided by zero
+    cloud = ParticleCloud(positions=np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                          weights=np.array([1.0, 1.0]), delta_reg=1e-3, dim=Dimension(2))
+    with pytest.raises(ConfigError) as err:
+        run_particles(cloud, 1.0, V=quadratic(), **kwargs)
+    assert err.value.reason == "invalid solver config"

@@ -9,6 +9,7 @@ from repelflow import (Dimension, RadialPotential, quadratic, quartic,
                        log_tail, double_well, zero_potential, table_potential,
                        AttractionPotential, check_pareto_tail,
                        check_compact_support_tail)
+from repelflow.errors import ConfigError
 
 
 def test_quadratic_closures():
@@ -109,6 +110,16 @@ def test_gaussian_bump_epsilon_and_slope_bound():
     Wm = AttractionPotential.gaussian_bump(d, 0.01, sign=-1)
     assert Wm.epsilon == pytest.approx(0.01, rel=1e-12)
     assert Wm.perturbation.laplacian(0.0, d) == pytest.approx(-0.01, rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"sign": 2}, {"sign": 0}, {"width": 0.0},
+                                    {"width": -1.0}])
+def test_gaussian_bump_refuses_sign_and_width(kwargs):
+    # sign = 2 doubled sup |Lap w| past the recorded eps, sign = 0 gave w = 0
+    # labelled eps, and width = 0 failed later in interpolation
+    with pytest.raises(ConfigError) as err:
+        AttractionPotential.gaussian_bump(Dimension(3), 0.01, **kwargs)
+    assert err.value.reason == "invalid solver config"
 
 
 def test_zero_potential():
