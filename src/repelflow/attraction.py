@@ -63,8 +63,8 @@ _LOBATTO_SIZES = (17, 33, 65, 129, 257)
 _CERTIFY_TOL = 1e-13
 # elements per (rows, len(s), 64) array of a blocked kernel evaluation
 _BLOCK_ELEMENTS = 2 ** 15
-# fewest knots of the fixed-point grid: a density needs two
-MIN_GRID = 2
+# fewest knots of the fixed-point grid: its field table of 2 n_grid - 1 radii needs 4
+MIN_GRID = 3
 
 
 @functools.cache
@@ -296,43 +296,41 @@ class SmallnessReport:
         return self.cond1_ok and self.cond2_ok
 
 
-def _smallness_sides(eps, dim, supp_measure, R_inf, c_d_prime):
+def _smallness_sides(eps, dim, c_d_prime):
     d = dim.d
-    S = supp_measure if supp_measure is not None else 1.0 / (1.0 - eps)
-    R = R_inf if R_inf is not None else c_d_prime / (1.0 - eps) ** (1.0 / d)
     c_lem = edge_repulsion_bound(dim, 1.0)
-    if eps >= 1.0 or 1.0 - 2.0 * eps * S <= 0.0:
-        return np.inf, c_lem / (2.0 * R) ** d, np.inf, c_lem * (2 ** d - 1) / 2 ** d, S, R
+    rhs2 = c_lem * (2 ** d - 1) / 2 ** d
+    if eps >= 1.0:    # both estimates are unbounded
+        return np.inf, 0.0, np.inf, rhs2, np.inf, np.inf
+    S = 1.0 / (1.0 - eps)
+    R = c_d_prime / (1.0 - eps) ** (1.0 / d)
+    rhs1 = c_lem / (2.0 * R) ** d
+    if 1.0 - 2.0 * eps * S <= 0.0:
+        return np.inf, rhs1, np.inf, rhs2, S, R
     bracket = (1.0 + 4.0 * eps * S) / (1.0 - 2.0 * eps * S) + 2.0
     lhs1 = 2.0 * eps * (1.0 + eps) / (1.0 - eps) / d * bracket
     lhs2 = 2.0 * eps * (1.0 + eps) / (1.0 - eps) ** 2 / d * bracket
-    rhs1 = c_lem / (2.0 * R) ** d
-    rhs2 = c_lem * (2 ** d - 1) / 2 ** d
     return lhs1, rhs1, lhs2, rhs2, S, R
 
 
-def check_smallness(epsilon, dim, supp_measure=None, R_inf=None, c_d_prime=None):
+def check_smallness(epsilon, dim):
     """Evaluate both sufficient conditions on eps = sup |Lap w|.
 
-    When ``supp_measure``/``R_inf`` are omitted they follow the closing
-    estimates |supp| <= 1/(1-eps) and R_inf <= c_d'/(1-eps)^(1/d), with
-    c_d' defaulting to the w = 0 support radius omega_d^(-1/d), so the
-    report depends on the dimension alone.  ``eps_star`` is the largest
-    eps at which both conditions still hold (under the same substitution
-    rule), found by bisection on the monotone left-hand sides.
+    |supp| and R_inf follow the closing estimates |supp| <= 1/(1-eps) and
+    R_inf <= c_d'/(1-eps)^(1/d), with c_d' the w = 0 support radius
+    omega_d^(-1/d), so the report depends on the dimension alone.
+    ``eps_star`` is the largest eps at which both conditions still hold,
+    found by bisection on the monotone left-hand sides.
     """
     if dim.d < 2:
         raise ConfigError("smallness conditions need d >= 2", reason="invalid dimension")
-    if c_d_prime is None:
-        c_d_prime = dim.ball_volume ** (-1.0 / dim.d)
-
-    lhs1, rhs1, lhs2, rhs2, S, R = _smallness_sides(
-        epsilon, dim, supp_measure, R_inf, c_d_prime)
+    c_d_prime = dim.ball_volume ** (-1.0 / dim.d)
+    lhs1, rhs1, lhs2, rhs2, S, R = _smallness_sides(epsilon, dim, c_d_prime)
 
     lo, hi = 0.0, 0.49
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        l1, r1, l2, r2, _, _ = _smallness_sides(mid, dim, supp_measure, R_inf, c_d_prime)
+        l1, r1, l2, r2, _, _ = _smallness_sides(mid, dim, c_d_prime)
         if l1 < r1 and l2 < r2:
             lo = mid
         else:
@@ -342,6 +340,21 @@ def check_smallness(epsilon, dim, supp_measure=None, R_inf=None, c_d_prime=None)
                            cond1_ok=bool(lhs1 < rhs1), lhs2=float(lhs2),
                            rhs2=float(rhs2), cond2_ok=bool(lhs2 < rhs2),
                            eps_star=float(lo))
+
+
+def _smallness_gate(W, dim, allow_unproven):
+    """W's smallness report; a failure is refused, or only warned of if allow_unproven."""
+    report = check_smallness(W.epsilon, dim)
+    if not report.passed:
+        if not allow_unproven:
+            raise ConfigError(
+                f"eps = {W.epsilon:g} violates the sufficient smallness conditions "
+                f"(eps* = {report.eps_star:.4g}); pass allow_unproven=True to "
+                "iterate anyway", reason="smallness violated")
+        warnings.warn(f"eps = {W.epsilon:g} beyond the provable range "
+                      f"(eps* = {report.eps_star:.4g}); contraction is checked "
+                      "empirically", ResolutionWarning)
+    return report
 
 
 @dataclass
@@ -420,26 +433,13 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     recomputes the convolution from the converged density from scratch, so
     it is not a tautology of the iteration's own bookkeeping.
     """
-    if dim.d < 2:
-        raise ConfigError("attraction steady states need d >= 2",
-                          reason="invalid dimension")
     if n_grid < MIN_GRID:
         raise ConfigError(f"n_grid must be at least {MIN_GRID}",
                           reason="invalid solver config")
     if max_iter < 1 or not tol > 0.0:
         raise ConfigError(f"need tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}",
                           reason="invalid solver config")
-    eps = W.epsilon
-    report = check_smallness(eps, dim)
-    if not report.passed:
-        if not allow_unproven:
-            raise ConfigError(
-                f"eps = {eps:g} violates the sufficient smallness conditions "
-                f"(eps* = {report.eps_star:.4g}); pass allow_unproven=True to "
-                "iterate anyway", reason="smallness violated")
-        warnings.warn(f"eps = {eps:g} beyond the provable range "
-                      f"(eps* = {report.eps_star:.4g}); contraction is checked "
-                      "empirically", ResolutionWarning)
+    _smallness_gate(W, dim, allow_unproven)
 
     def dw(r):
         return W.perturbation.laplacian(r, dim)
@@ -478,7 +478,7 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
             reason="did not converge", residual_history=residuals)
 
     R_inf = rho.support_radius
-    lo_b, hi_b = m0 * (1.0 - eps), m0 * (1.0 + eps)
+    lo_b, hi_b = m0 * (1.0 - W.epsilon), m0 * (1.0 + W.epsilon)
     slack = 1e-9 * m0
     if np.any(rho.values < lo_b - slack) or np.any(rho.values > hi_b + slack):
         raise NumericsError("converged profile violates the m0 (1 +- eps) band",
@@ -526,15 +526,11 @@ def effective_attraction_potential(state, W, n_grid=48):
     grid = np.linspace(0.0, r_hi, n_grid)
     second_moment = float(np.sum(m * R * R))
     pert = W.perturbation
-    if getattr(pert, "name", "") == "zero":
-        lap = np.full_like(grid, m0)
-        value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d)
-    else:
-        # one kernel, so the d = 3 table of G is built once for both fields
-        mean = _sphere_mean((lambda z: pert.laplacian(z, dim), pert.value), dim,
-                            r_hi + float(R[-1]))
-        lap_shells, val_shells = mean(grid[:, None], R[None, :])
-        lap = m0 + lap_shells @ m
-        value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + val_shells @ m
+    # one kernel, so the d = 3 table of G is built once for both fields
+    mean = _sphere_mean((lambda z: pert.laplacian(z, dim), pert.value), dim,
+                        r_hi + float(R[-1]))
+    lap_shells, val_shells = mean(grid[:, None], R[None, :])
+    lap = m0 + lap_shells @ m
+    value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + val_shells @ m
     slope, second = _field_tables(grid, lap, dim, m0)
     return table_potential(grid, value, slope, second, name="attraction field")

@@ -35,7 +35,7 @@ from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_stead
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius, _cloud_header,
                         _cloud_columns)
-from .attraction import MIN_GRID, solve_attraction_steady, check_smallness
+from .attraction import MIN_GRID, solve_attraction_steady, _smallness_gate
 from ._table import read_table, write_table
 from .errors import SolverError, ConfigError, PotentialError
 
@@ -46,6 +46,8 @@ POTENTIAL_KINDS = ("quadratic", "quartic", "log-tail", "double-well",
                    "zero", "table")
 
 RHO0_KINDS = ("ball", "annulus", "interval", "cloud")
+
+RATE_QUANTITIES = ("energy_gap", "l1", "support_gap")
 
 CHOICES = {"mode": MODES, "potential_kind": POTENTIAL_KINDS,
            "particle_mode": ("confinement", "attraction"),
@@ -121,15 +123,21 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choices: {', '.join(choices)}",
                                   reason="invalid solver config")
+        quantities = self.rate_quantities
+        if len(set(quantities)) < len(quantities) or not set(quantities) <= set(RATE_QUANTITIES):
+            raise ConfigError(f"[rates] quantity must list distinct names among "
+                              f"{', '.join(RATE_QUANTITIES)}", reason="invalid solver config")
         for setting, value in (("[problem] m0", self.m0),
                                ("[attraction] tol", self.attraction_tol),
                                ("[particles] dt_max", self.particle_dt_max),
-                               ("[particles] safety", self.particle_safety)):
+                               ("[particles] safety", self.particle_safety),
+                               ("[validate] r0", self.r0)):
             if not value > 0.0:
                 raise ConfigError(f"{setting} must be positive",
                                   reason="invalid solver config")
         for setting, count, least in (
                 ("[solver] n_quantiles", self.n_quantiles, MIN_QUANTILES),
+                ("[solver] n_grid", self.steady_n_grid, 1),
                 ("[attraction] n_grid", self.attraction_n_grid, MIN_GRID),
                 ("[attraction] max_iter", self.attraction_max_iter, 1),
                 ("[particles] n", self.n_particles, 1)):
@@ -472,8 +480,7 @@ def _manifest(out, cfg, config_sha, t0, artifacts):
 
 # -- mode runners ------------------------------------------------------------
 
-def _run_steady(cfg, out, V):
-    dim = Dimension(cfg.dimension)
+def _run_steady(cfg, out, dim, V):
     st = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     r = st.density.grid
     phi = newtonian_radial_potential(st.density) + V.value(r)
@@ -502,8 +509,7 @@ def _rate_fits(cfg, series, dim, out, summary, suffix=""):
     return artifacts
 
 
-def _run_simulate_radial(cfg, out, V):
-    dim = Dimension(cfg.dimension)
+def _run_simulate_radial(cfg, out, dim, V, starts):
     try:
         steady = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     except PotentialError:
@@ -512,13 +518,7 @@ def _run_simulate_radial(cfg, out, V):
     artifacts, summary = [], {"mode": "simulate_radial", "d": dim.d,
                               "m0": cfg.m0, "t_end": cfg.t_end}
     finals = []
-    runs = [("", cfg.rho0)]
-    if cfg.rho0_alt:
-        runs.append(("_alt", cfg.rho0_alt))
-    for suffix, spec in runs:
-        rho0 = build_density(spec, dim, cfg.m0)
-        state = init_lagrangian(rho0, cfg.n_quantiles, dim,
-                                dt_init=cfg.dt_init)
+    for suffix, state in starts:
         final, snaps = evolve(state, V, evo)
         finals.append(final)
         series = collect_series(snaps, V, steady=steady)
@@ -546,18 +546,7 @@ def _run_simulate_radial(cfg, out, V):
     return artifacts + ["summary.json"]
 
 
-def _run_simulate_particles(cfg, out, V=None, W=None, cloud=None):
-    dim = Dimension(cfg.dimension)
-    rng = np.random.default_rng(cfg.seed)
-    if cloud is None:
-        rho0 = build_density(cfg.rho0, dim, cfg.m0)
-        # regularization scale set by the terminal density: Lap V on the
-        # support for confinement, the pre-collapse scale m0 for attraction
-        if V is not None:
-            rho_ref = float(np.max(V.laplacian(rho0.grid[rho0.grid > 0], dim)))
-        else:
-            rho_ref = cfg.m0
-        cloud = sample_radial(rho0, cfg.n_particles, rng, rho_ref=rho_ref)
+def _run_simulate_particles(cfg, out, dim, cloud, V=None, W=None):
     final, snaps = run_particles(cloud, cfg.particle_t_end, V=V, W=W,
                                  dt_max=cfg.particle_dt_max,
                                  safety=cfg.particle_safety,
@@ -575,9 +564,7 @@ def _run_simulate_particles(cfg, out, V=None, W=None, cloud=None):
     return ["particles.csv", "cloud_final.csv", "summary.json"]
 
 
-def _run_attract_steady(cfg, out, W):
-    dim = W.dim
-    report = check_smallness(W.epsilon, dim)
+def _run_attract_steady(cfg, out, dim, W, report):
     st, fld = solve_attraction_steady(W, dim, cfg.m0,
                                       tol=cfg.attraction_tol,
                                       max_iter=cfg.attraction_max_iter,
@@ -605,7 +592,7 @@ def _run_attract_steady(cfg, out, W):
     return ["steady.csv", "iterations.csv", "summary.json"]
 
 
-def _run_rates(cfg, out, src, series, dim):
+def _run_rates(cfg, out, dim, src, series):
     summary = {"mode": "rates", "series": str(src)}
     cfg = replace(cfg, rate_quantities=cfg.rate_quantities or ("energy_gap",))
     artifacts = _rate_fits(cfg, series, dim, out, summary)
@@ -613,8 +600,7 @@ def _run_rates(cfg, out, src, series, dim):
     return artifacts + ["summary.json"]
 
 
-def _run_validate(cfg, out, V):
-    dim = Dimension(cfg.dimension)
+def _run_validate(cfg, out, dim, V):
     if cfg.check == "compact":
         rep = check_compact_support_tail(V, dim, cfg.c_v, cfg.r0)
         fields = {"slope_ok": bool(rep.slope_ok),
@@ -649,31 +635,55 @@ _RUNNERS = {"steady": _run_steady,
             "validate": _run_validate}
 
 
-def _read_inputs(cfg):
-    """Runner arguments built from the files the config names.
-
-    They are read and checked before anything is written, so a refused
-    file leaves the output directory as it was.
-    """
-    inputs = {}
-    particles = cfg.mode == "simulate_particles"
-    if cfg.mode in ("steady", "simulate_radial", "validate") or (
-            particles and cfg.particle_mode == "confinement"):
-        inputs["V"] = build_confinement(cfg)
-    if cfg.mode == "attract_steady" or (
-            particles and cfg.particle_mode == "attraction"):
-        inputs["W"] = build_attraction(cfg, Dimension(cfg.dimension))
-    if particles and cfg.rho0.get("kind") == "cloud":
+def _initial_cloud(cfg, dim, V):
+    """The particle run's start: the [rho0] cloud file, or a seeded sample."""
+    if cfg.rho0.get("kind") == "cloud":
+        path = cfg.rho0.get("path", "")
+        cloud = _load_input(path, load_cloud)
+        if cloud.dim != dim:
+            raise ConfigError(f"cloud file {path!r} holds d = {cloud.dim.d} particles, but "
+                              f"[problem] dimension = {dim.d}", reason="invalid cloud")
         # a loaded cloud is an initial condition: its clock restarts at zero
-        inputs["cloud"] = replace(_load_input(cfg.rho0.get("path", ""), load_cloud),
-                                  time=0.0)
+        return replace(cloud, time=0.0)
+    rho0 = build_density(cfg.rho0, dim, cfg.m0)
+    # regularization scale: Lap V on the support (0 with no positive knot)
+    # for confinement, the pre-collapse scale m0 for attraction
+    rho_ref = cfg.m0 if V is None else float(
+        np.max(V.laplacian(rho0.grid[rho0.grid > 0], dim), initial=0.0))
+    return sample_radial(rho0, cfg.n_particles, np.random.default_rng(cfg.seed),
+                         rho_ref=rho_ref)
+
+
+def _read_inputs(cfg):
+    """Runner arguments: every library object the run needs.
+
+    They are built and checked before anything is written, so a refused
+    input leaves the output directory as it was.
+    """
     if cfg.mode == "rates":
         src = Path(cfg.series_path or cfg.out)
-        inputs["src"] = src / "series.csv" if src.is_dir() else src
-        inputs["series"] = _load_input(inputs["src"], DiagnosticSeries.from_csv)
+        src = src / "series.csv" if src.is_dir() else src
+        series = _load_input(src, DiagnosticSeries.from_csv)
         # the series records the dimension it was run in; the config's is a fallback
-        d = inputs["series"].params.get("d", cfg.dimension)
-        inputs["dim"] = Dimension(d) if d else None
+        d = series.params.get("d", cfg.dimension)
+        return {"dim": Dimension(d) if d else None, "src": src, "series": series}
+    dim = Dimension(cfg.dimension)
+    # every other mode runs under a confinement V or an attraction kernel W
+    if cfg.mode == "attract_steady" or (cfg.mode == "simulate_particles"
+                                        and cfg.particle_mode == "attraction"):
+        inputs = {"dim": dim, "W": build_attraction(cfg, dim)}
+    else:
+        inputs = {"dim": dim, "V": build_confinement(cfg)}
+    if cfg.mode == "simulate_radial":
+        specs = [("", cfg.rho0)] + ([("_alt", cfg.rho0_alt)] if cfg.rho0_alt else [])
+        inputs["starts"] = [
+            (suffix, init_lagrangian(build_density(spec, dim, cfg.m0), cfg.n_quantiles,
+                                     dim, dt_init=cfg.dt_init))
+            for suffix, spec in specs]
+    elif cfg.mode == "simulate_particles":
+        inputs["cloud"] = _initial_cloud(cfg, dim, inputs.get("V"))
+    elif cfg.mode == "attract_steady":
+        inputs["report"] = _smallness_gate(inputs["W"], dim, cfg.allow_unproven)
     return inputs
 
 

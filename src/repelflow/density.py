@@ -159,9 +159,11 @@ class RadialDensity:
         return out if out.ndim else float(out)
 
     def renormalized(self, m0):
-        if self.mass <= 0.0:
-            raise ConfigError("cannot renormalize a massless density", reason="invalid density")
-        return RadialDensity(self.grid, self.values * (m0 / self.mass), self.dim,
+        scale = m0 / self.mass if self.mass > 0.0 else np.inf
+        if not scale < np.inf:
+            raise ConfigError(f"cannot renormalize a density of mass {self.mass:g}",
+                              reason="invalid density")
+        return RadialDensity(self.grid, self.values * scale, self.dim,
                              support_radius=self.support_radius)
 
 

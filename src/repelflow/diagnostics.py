@@ -278,8 +278,9 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
     mask = (times >= t_a) & (times <= t_b)
     t = times[mask]
     v = np.asarray(picks[quantity])[mask]
-    if len(t) < min_samples:
-        raise ConfigError(f"only {len(t)} samples in window, need {min_samples}",
+    need = max(min_samples, 2)    # a line takes two points
+    if len(t) < need:
+        raise ConfigError(f"only {len(t)} samples in window, need {need}",
                           reason="window error")
     if np.any(v <= 0.0):
         raise NumericsError(f"{int(np.sum(v <= 0.0))} nonpositive values in window",

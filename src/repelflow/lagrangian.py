@@ -303,7 +303,7 @@ def _mass_matched_edges(state):
     return lo, hi
 
 
-def reconstruct_density(state, refine=2):
+def reconstruct_density(state):
     """Density profile from the carried values (estimator A).
 
     The finite-difference estimator B, dm / (sigma_d rbar^(d-1) dR) between
@@ -323,9 +323,9 @@ def reconstruct_density(state, refine=2):
     vals = np.concatenate([[p[0]], p, [p[-1]]])
     if nodes[0] >= nodes[1]:          # collapsed inner edge (ball data)
         nodes, vals = nodes[1:], vals[1:]
-    # refine points k / (refine + 1) of the way along each interval; they
-    # stay in order inside it, so interleaving them keeps the grid sorted
-    stride = refine + 1
+    # points 1/3 and 2/3 of the way along each interval; they stay in
+    # order inside it, so interleaving them keeps the grid sorted
+    stride = 3
     fine = np.empty(stride * (len(nodes) - 1) + 1)
     fine[::stride] = nodes
     gaps = np.diff(nodes)

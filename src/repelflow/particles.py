@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._table import read_table, write_table
-from .errors import ConfigError, DivergenceError, ResolutionWarning
+from .errors import ConfigError, DivergenceError, ResolutionWarning, StiffnessError
 
 __all__ = [
     "ParticleCloud",
@@ -61,6 +61,8 @@ class ParticleCloud:
         return float(np.sum(self.weights))
 
     def validate(self):
+        if self.dim.d not in (2, 3):
+            raise ConfigError("particle clouds live in d = 2, 3 only", reason="invalid dimension")
         if self.positions.ndim != 2 or self.positions.shape[1] != self.dim.d:
             raise ConfigError("positions must be (N, d)", reason="invalid cloud")
         if not np.all(np.isfinite(self.positions)):
@@ -170,13 +172,6 @@ def _pair_sum(pos, coef, rhs):
     return out, coincident
 
 
-def _perturbation(W):
-    """The pairwise part of W beyond the telescoped r^2/(2d), or None."""
-    if W is None or W.perturbation.name == "zero":
-        return None
-    return W.perturbation
-
-
 def velocity_field(cloud, V=None, W=None):
     """Velocities of every particle under confinement (V) or attraction (W)."""
     if (V is None) == (W is None):
@@ -185,7 +180,8 @@ def velocity_field(cloud, V=None, W=None):
     pos, w = cloud.positions, cloud.weights
     d, delta = cloud.dim.d, cloud.delta_reg
     sigma_d = cloud.dim.sphere_area
-    pert = _perturbation(W)
+    # the pairwise part of W beyond the telescoped r^2/(2d)
+    pert = None if W is None else W.perturbation
 
     def coef(r, apart):
         # pair speed over r: regularized Newton repulsion, minus the
@@ -239,10 +235,11 @@ def advance(cloud, dt, V=None, W=None, rk_order=2, k1=None):
 
 
 def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
-                  rk_order=2, snapshot_stride=10, observer=None):
+                  rk_order=2, snapshot_stride=10):
     """Advance to t_end with dt capped so max |u| dt <= safety * delta_reg.
 
     Returns (final cloud, snapshots); snapshots include t = 0 and t_end.
+    A cap below 1e-9 raises StiffnessError, as no run could end.
     """
     if not (dt_max > 0.0 and safety > 0.0):
         raise ConfigError("dt_max and safety must be positive",
@@ -256,11 +253,12 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
         k1 = velocity_field(cloud, V=V, W=W)
         vmax = float(np.max(np.linalg.norm(k1, axis=1)))
         dt = dt_max if vmax == 0.0 else min(dt_max, safety * cloud.delta_reg / vmax)
+        if dt < 1e-9:    # the radial solver's default dt_min
+            raise StiffnessError(f"particle dt fell below 1e-09 at t={cloud.time:g}",
+                                 reason="dt underflow")
         dt = min(dt, t_end - cloud.time)
         cloud = advance(cloud, dt, V=V, W=W, rk_order=rk_order, k1=k1)
         steps += 1
-        if observer is not None:
-            observer(cloud)
         if steps % snapshot_stride == 0:
             snapshots.append(cloud)
     if snapshots[-1] is not cloud:
@@ -277,7 +275,7 @@ def discrete_energy(cloud, V=None, W=None):
     pos, w = cloud.positions, cloud.weights
     d, delta = cloud.dim.d, cloud.delta_reg
     coeff = cloud.dim.newton_coeff if d >= 3 else 0.0
-    pert = _perturbation(W)
+    pert = None if W is None else W.perturbation
 
     def coef(r, apart):
         # pair energy: regularized Newton kernel, plus the perturbation in

@@ -133,6 +133,9 @@ def log_tail(s=1.0):
 def double_well(a=1.0):
     """V(x) = (x^2 - a^2)^2 / (4 a^2), two wells at x = +-a (for d = 1)."""
     a2 = a * a
+    if not a2 > 0.0:
+        raise ConfigError(f"double well needs a nonzero square a^2, got a = {a!r}",
+                          reason="invalid potential")
     return RadialPotential(
         lambda x: (x * x - a2) ** 2 / (4.0 * a2),
         slope=lambda x: x * (x * x - a2) / a2,
@@ -225,11 +228,11 @@ class AttractionPotential:
         if sign not in (1, -1):
             raise ConfigError(f"bump sign must be 1 or -1, got {sign!r}",
                               reason="invalid solver config")
-        if not width > 0.0:
-            raise ConfigError(f"bump width must be positive, got {width!r}",
-                              reason="invalid solver config")
-        beta = sign * epsilon / (2.0 * dim.d)
         s2 = width * width
+        if not (width > 0.0 and s2 > 0.0):
+            raise ConfigError(f"bump width must be positive, with a nonzero square, "
+                              f"got {width!r}", reason="invalid solver config")
+        beta = sign * epsilon / (2.0 * dim.d)
 
         def val(r):
             r = np.asarray(r, dtype=float)
@@ -262,16 +265,14 @@ class TailReport:
     note: str = ""
 
 
-def check_pareto_tail(V, dim, radii=None):
+def check_pareto_tail(V, dim):
     """Trend test for sigma_d r^(d-1) V'(r) -> infinity.
 
     Passes when the sampled values are strictly increasing, positive at the
     far end, and still growing by at least 20% over the last octave.  This
     is what guarantees the mass equation has a root for every m0.
     """
-    if radii is None:
-        radii = np.geomspace(1.0, 1e4, 200) * max(1.0, V.r_scale)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(1.0, 1e4, 200) * max(1.0, V.r_scale)
     g = dim.sphere_area * radii ** (dim.d - 1) * V.slope(radii)
     increasing = bool(np.all(np.diff(g) > 0.0))
     half = np.searchsorted(radii, radii[-1] / 2.0)
@@ -301,15 +302,13 @@ class CompactTailReport:
     note: str = ""
 
 
-def check_compact_support_tail(V, dim, c_V, R0, radii=None):
+def check_compact_support_tail(V, dim, c_V, R0):
     """Sufficient tail condition for supports to stay bounded.
 
     Requires V'(r) >= c_V r^(-(d-1)/(d+1)) for all sampled r >= R0,
     together with Lap V >= 0 and a finite sampled sup of Lap V.
     """
-    if radii is None:
-        radii = np.geomspace(R0, 1e3 * R0, 200)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(R0, 1e3 * R0, 200)
     alpha = (dim.d - 1) / (dim.d + 1)
     floor = c_V * radii ** (-alpha)
     slope_ok = bool(np.all(V.slope(radii) >= floor * (1.0 - 1e-12)))

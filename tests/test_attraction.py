@@ -163,6 +163,16 @@ def test_smallness_report_formula():
     assert rep.passed
 
 
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_smallness_report_for_eps_of_one_or_more(eps):
+    # the closing estimates are unbounded: the report fails instead of
+    # dividing by zero (eps = 1) or taking a complex root (eps = 2)
+    rep = check_smallness(eps, Dimension(3))
+    assert not rep.passed
+    assert rep.supp_measure == rep.R_inf == np.inf
+    assert rep.eps_star == check_smallness(0.0, Dimension(3)).eps_star
+
+
 def test_smallness_monotone_with_critical_point():
     d2, d3 = Dimension(2), Dimension(3)
     assert check_smallness(0.0, d2).lhs1 == 0.0
@@ -297,6 +307,21 @@ def test_effective_field_matches_converged_field():
                        rtol=5e-3, atol=5e-4)
     lap = V_eff.laplacian(probe, d2)
     assert np.all(lap > m0 * 0.98) and np.all(lap < m0 * 1.02)
+
+
+def test_effective_potential_of_a_perturbation_named_zero():
+    # the kernel's values decide whether the shell sums run, not its name
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.5)
+    named = AttractionPotential.gaussian_bump(d3, 0.5)
+    named.perturbation.name = "zero"
+    quant = init_lagrangian(uniform_ball(d3, 1.0, 0.6), 64, d3)
+    probe = np.linspace(0.0, 1.0, 9)
+    fields = [effective_attraction_potential(quant, w) for w in (W, named)]
+    assert np.array_equal(fields[0].value(probe), fields[1].value(probe))
+    assert np.array_equal(fields[0].slope(probe), fields[1].slope(probe))
+    bare = effective_attraction_potential(quant, AttractionPotential(d3))
+    assert not np.array_equal(bare.value(probe), fields[0].value(probe))
 
 
 def test_attraction_energy_grows_with_spread():

@@ -1,17 +1,21 @@
 """Experiment harness: config round trip, exit codes, artifacts, determinism."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
@@ -299,17 +303,24 @@ def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("dt_min = 0.5", "need 0 < dt_min <= dt_init <= dt_max"),
-    ("dt_max = 0.001", "need 0 < dt_min <= dt_init <= dt_max"),
-    ("rk_order = 3", "rk_order must be 2 or 4"),
-    ("snapshot_stride = 0", "snapshot_stride must be at least 1"),
-], ids=["dt-min", "dt-max", "rk-order", "stride"])
-def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, line, message):
+@pytest.mark.parametrize("lines, message", [
+    ("[solver]\ndt_min = 0.5", "need 0 < dt_min <= dt_init <= dt_max"),
+    ("[solver]\ndt_max = 0.001", "need 0 < dt_min <= dt_init <= dt_max"),
+    ("[solver]\nrk_order = 3", "rk_order must be 2 or 4"),
+    ("[solver]\nsnapshot_stride = 0", "snapshot_stride must be at least 1"),
+    ("[validate]\nr0 = 0", "[validate] r0 must be positive"),
+    ("[rates]\nquantity = l1, l1", "[rates] quantity must list distinct names"),
+    ("[rates]\nquantity = entropy", "[rates] quantity must list distinct names"),
+], ids=["dt-min", "dt-max", "rk-order", "stride", "r0", "repeated-quantity",
+        "unknown-quantity"])
+def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, lines, message):
     # validate builds the run's EvolutionConfig, so its rules exit 2 before
-    # config_used.ini and manifest.json are written
+    # config_used.ini and manifest.json are written; so do the settings a
+    # solve would trip on (r0 = 0 ended in a traceback from the compact
+    # check's radii, a repeated quantity was fitted and listed twice, an
+    # unknown one was refused only after the radial run)
     ini = _write_ini(tmp_path / "s.ini", "[run]\nmode = simulate_radial\n\n"
-                     f"[solver]\n{line}\n")
+                     f"{lines}\n")
     out = tmp_path / "o"
     assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -320,7 +331,9 @@ def test_solver_rules_checked_before_any_artifact(tmp_path, capsys, line, messag
 
 @pytest.mark.parametrize("mode, line", [
     ("simulate_radial", "[solver]\nn_quantiles = 10"),
+    ("steady", "[solver]\nn_grid = 0"),
     ("attract_steady", "[attraction]\nn_grid = 1"),
+    ("attract_steady", "[attraction]\nn_grid = 2"),
     ("attract_steady", "[attraction]\nmax_iter = 0"),
 ])
 def test_counts_below_the_solver_minimum_exit_2(tmp_path, capsys, mode, line):
@@ -950,3 +963,130 @@ def test_tables_written_before_the_commented_column_line_still_read(tmp_path):
     summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
     for q in ("energy_gap", "l1"):
         assert summary[f"rate_{q}"]["gamma_hat"] == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode, text, reason", [
+    ("steady", "[problem]\ndimension = 9\n", "invalid dimension"),
+    ("simulate_radial", "[problem]\ndimension = 9\n", "invalid dimension"),
+    ("validate", "[problem]\ndimension = 9\n", "invalid dimension"),
+    ("simulate_radial", "[rho0]\nradius = -1\n", "invalid density"),
+    ("simulate_radial", "[rho0]\nkind = interval\n", "invalid dimension"),
+    ("simulate_radial", "[rho0]\nkind = cloud\npath = c.csv\n", "invalid solver config"),
+    ("simulate_particles", "[rho0]\nkind = annulus\nr_in = 2\nr_out = 1\n",
+     "invalid density"),
+    ("simulate_particles", "[problem]\ndimension = 1\n", "invalid dimension"),
+    ("simulate_particles", "[problem]\ndimension = 1\n\n[rho0]\nkind = interval\n",
+     "invalid dimension"),
+    ("attract_steady", "[problem]\ndimension = 1\n", "invalid dimension"),
+    ("attract_steady", "[attraction]\nepsilon = 0.01\n", "smallness violated"),
+    ("attract_steady", "[attraction]\nepsilon = 1\n", "smallness violated"),
+    ("simulate_radial", "[problem]\nm0 = 1\n\n[rho0]\nvalue = 1e-320\n", "invalid density"),
+    ("simulate_radial", "[potential]\nkind = double-well\nparam = 0\n", "invalid potential"),
+], ids=["steady-d9", "radial-d9", "validate-d9", "radius", "interval-d3",
+        "radial-cloud", "annulus", "particles-d1", "particles-d1-interval", "attract-d1",
+        "smallness", "smallness-eps-1", "subnormal-mass", "double-well-0"])
+def test_inputs_refused_before_the_output_directory(tmp_path, capsys, mode, text, reason):
+    # every solver input is built before the output directory is made, so a
+    # refused one leaves no config_used.ini or manifest.json behind
+    ini = _write_ini(tmp_path / "in.ini", f"[run]\nmode = {mode}\n\n{text}")
+    out = tmp_path / "o"
+    assert main([mode, "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert f"reason: {reason}" in err
+    assert not out.exists()
+
+
+def test_a_cloud_restarts_only_in_its_own_dimension(tmp_path, capsys):
+    ini = _write_ini(tmp_path / "p.ini", "[run]\nmode = simulate_particles\n\n"
+                     "[problem]\ndimension = 2\nm0 = 1.0\n\n"
+                     "[particles]\nn = 50\nt_end = 0.02\n")
+    assert main(["simulate_particles", "--config", ini, "--out", str(tmp_path / "a")]) == 0
+    final = tmp_path / "a" / "cloud_final.csv"
+    restart = "[run]\nmode = simulate_particles\n\n[problem]\ndimension = {d}\n\n" \
+              f"[rho0]\nkind = cloud\npath = {final}\n\n[particles]\nt_end = 0.02\n"
+    out = tmp_path / "b"
+    # the default dimension is 3
+    ini = _write_ini(tmp_path / "r3.ini", restart.replace("dimension = {d}\n", ""))
+    assert main(["simulate_particles", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "holds d = 2 particles, but [problem] dimension = 3" in err
+    assert "reason: invalid cloud" in err
+    assert not out.exists()
+    ini = _write_ini(tmp_path / "r2.ini", restart.format(d=2))
+    assert main(["simulate_particles", "--config", ini, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["d"] == 2
+    assert "# t,id,x1,x2,w\n" in (out / "particles.csv").read_text()
+
+
+# errors a solve can hit only once it runs; they exit 2 after the output
+# directory records the attempt
+_SOLVE_REASONS = {"tail too weak", "invalid potential", "pareto tail failed",
+                  "compact support check failed", "window error"}
+_SMALL = st.floats(-0.5, 2.5)
+_SMALL_RHO0 = st.fixed_dictionaries(
+    {"kind": st.sampled_from(RHO0_KINDS)},
+    optional={**{key: _SMALL for key in ("value", "radius", "r_in", "r_out", "a", "b")},
+              "path": st.sampled_from(("cloud2.csv", "cloud3.csv", "missing.csv"))})
+_SMALL_RUNS = st.builds(
+    ExperimentConfig,
+    mode=st.sampled_from(MODES), seed=st.integers(0, 3),
+    dimension=st.sampled_from((0, 1, 2, 2, 3, 3, 3, 9)),
+    m0=st.sampled_from((0.5, 1.0, 4 * math.pi)) | st.floats(0.0, 2.5),
+    potential_kind=st.sampled_from(CHOICES["potential_kind"]),
+    potential_param=_SMALL, potential_table=st.just("missing.csv"),
+    epsilon=st.none() | st.floats(-0.05, 0.05), bump_width=_SMALL,
+    bump_sign=st.sampled_from((1, -1)), allow_unproven=st.booleans(),
+    attraction_n_grid=st.integers(3, 33), attraction_tol=st.sampled_from((1e-9, 1e-3)),
+    attraction_max_iter=st.integers(1, 6),
+    rho0=st.just({}) | _SMALL_RHO0, rho0_alt=st.none() | _SMALL_RHO0,
+    n_quantiles=st.integers(16, 40), t_end=st.floats(0.0, 0.2),
+    snapshot_stride=st.integers(1, 3), steady_n_grid=st.integers(1, 128),
+    n_particles=st.integers(1, 16), particle_t_end=st.floats(0.0, 0.05),
+    particle_rk_order=st.sampled_from((2, 4)),
+    particle_mode=st.sampled_from(CHOICES["particle_mode"]),
+    rate_quantities=st.lists(st.sampled_from(("energy_gap", "l1", "support_gap")),
+                             max_size=2, unique=True).map(tuple),
+    window_lo=st.floats(0.0, 2.0), window_hi=st.floats(0.0, 12.0),
+    series_path=st.sampled_from(("run", "missing.csv", "")), min_samples=st.integers(1, 30),
+    check=st.sampled_from(CHOICES["check"]), c_v=_SMALL, r0=st.floats(0.1, 2.5))
+
+
+@settings(max_examples=150)
+@given(cfg=_SMALL_RUNS)
+def test_any_small_run_exits_with_a_documented_code(tmp_path_factory, cfg):
+    # a whole run in process exits 0, 2, 3 or 4, never with a traceback; the
+    # drawn input file names are looked up in one directory that holds a
+    # d = 2 and a d = 3 cloud and a series run
+    base = tmp_path_factory.getbasetemp() / "small_runs"
+    if not base.exists():
+        base.mkdir()
+        for d in (2, 3):
+            save_cloud(ParticleCloud(positions=np.eye(4, d), weights=np.full(4, 0.25),
+                                     delta_reg=0.05, dim=Dimension(d)),
+                       base / f"cloud{d}.csv")
+        _algebraic_series(base)
+    work = Path(tempfile.mkdtemp(dir=base))
+    cfg = replace(cfg, rho0={k: str(base / v) if k == "path" else v
+                             for k, v in cfg.rho0.items()},
+                  potential_table=str(base / cfg.potential_table),
+                  series_path=str(base / cfg.series_path) if cfg.series_path else "")
+    ini = work / "in.ini"
+    config_to_ini(cfg, ini)
+    out = work / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        code = main([cfg.mode, "--config", str(ini), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    event(f"{cfg.mode} exits {code}")
+    if code == 0:
+        # the manifest lists every file the run wrote
+        listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert sorted(listed) == sorted(p.name for p in out.iterdir())
+        return
+    assert code in (2, 3, 4)
+    assert [line[:7] for line in lines[-2:]] == ["error: ", "reason:"]
+    if code == 2 and out.exists():
+        # only a solve leaves an output directory behind a configuration error
+        assert lines[-1][len("reason: "):] in _SOLVE_REASONS

@@ -96,6 +96,13 @@ def test_renormalized():
     assert scaled.support_radius == rho.support_radius
 
 
+def test_renormalizing_a_subnormal_mass_is_refused():
+    # the scale factor overflows, and 0 * inf filled the grid with NaN
+    rho = uniform_ball(Dimension(3), 1e-320, 1.0)
+    with pytest.raises(ConfigError, match="cannot renormalize"):
+        rho.renormalized(1.0)
+
+
 def test_validation_errors():
     d2 = Dimension(2)
     with pytest.raises(ConfigError):

@@ -193,6 +193,11 @@ def test_fit_rate_window_errors():
         fit_rate(bad, "energy_gap", (1.0, 20.0))
     with pytest.raises(ConfigError):
         fit_rate(series, "entropy", (1.0, 20.0))
+    # a line takes two samples whatever min_samples allows (one sample used
+    # to reach the least-squares solve and fail there)
+    with pytest.raises(ConfigError, match="need 2") as err:
+        fit_rate(series, "energy_gap", (1.0, 1.01), min_samples=1)
+    assert err.value.reason == "window error"
 
 
 def test_fit_rate_text_record():

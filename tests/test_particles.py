@@ -13,7 +13,7 @@ from repelflow import (Dimension, uniform_ball, build_steady_state, quadratic,
                        newton_grad)
 from repelflow import particles
 from repelflow.particles import advance
-from repelflow.errors import ConfigError, DivergenceError, ResolutionWarning
+from repelflow.errors import ConfigError, DivergenceError, ResolutionWarning, StiffnessError
 
 
 def _pair_cloud(sep=1.0, w=0.5, dim=3):
@@ -243,6 +243,15 @@ def test_support_radius_estimate():
     assert cloud_support_radius(cloud) == pytest.approx(1.0, abs=2e-2)
 
 
+def test_a_step_cap_below_the_floor_is_refused():
+    # a 1e-12 blob scale caps dt near 1e-13, so t_end = 1 took 1e13 steps
+    cloud = ParticleCloud(positions=np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                          weights=np.full(2, 0.5), delta_reg=1e-12, dim=Dimension(2))
+    with pytest.raises(StiffnessError) as err:
+        run_particles(cloud, 1.0, V=quadratic())
+    assert err.value.reason == "dt underflow"
+
+
 def test_validation():
     d = Dimension(2)
     with pytest.raises(ConfigError):
@@ -251,6 +260,12 @@ def test_validation():
     with pytest.raises(ConfigError):
         ParticleCloud(positions=np.zeros((2, 2)), weights=np.array([1.0, -1.0]),
                       delta_reg=1e-3, dim=d).validate()
+    # the solver's energies hold in d = 2, 3 only, so a loaded d = 1 or
+    # d = 4 cloud is refused as sampling refuses those dimensions
+    for k in (1, 4):
+        with pytest.raises(ConfigError, match="d = 2, 3 only"):
+            ParticleCloud(positions=np.zeros((2, k)), weights=np.ones(2),
+                          delta_reg=1e-3, dim=Dimension(k)).validate()
 
 
 @pytest.mark.parametrize("weight, delta", [(np.nan, 1e-3), (np.inf, 1e-3),
@@ -273,3 +288,18 @@ def test_step_rules_are_refused(kwargs):
     with pytest.raises(ConfigError) as err:
         run_particles(cloud, 1.0, V=quadratic(), **kwargs)
     assert err.value.reason == "invalid solver config"
+
+
+def test_a_perturbation_named_zero_still_acts():
+    # the kernel's values decide whether it acts, not its name
+    d = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d, 0.5)
+    named = AttractionPotential.gaussian_bump(d, 0.5)
+    named.perturbation.name = "zero"
+    rng = np.random.default_rng(2)
+    cloud = ParticleCloud(positions=rng.normal(size=(40, 3)), weights=np.full(40, 0.025),
+                          delta_reg=1e-2, dim=d)
+    assert np.array_equal(velocity_field(cloud, W=named), velocity_field(cloud, W=W))
+    assert discrete_energy(cloud, W=named) == discrete_energy(cloud, W=W)
+    assert not np.array_equal(velocity_field(cloud, W=W),
+                              velocity_field(cloud, W=AttractionPotential(d)))

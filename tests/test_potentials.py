@@ -113,13 +113,22 @@ def test_gaussian_bump_epsilon_and_slope_bound():
 
 
 @pytest.mark.parametrize("kwargs", [{"sign": 2}, {"sign": 0}, {"width": 0.0},
-                                    {"width": -1.0}])
+                                    {"width": -1.0}, {"width": 1e-200}])
 def test_gaussian_bump_refuses_sign_and_width(kwargs):
     # sign = 2 doubled sup |Lap w| past the recorded eps, sign = 0 gave w = 0
-    # labelled eps, and width = 0 failed later in interpolation
+    # labelled eps, and width = 0 (or a width whose square is 0) failed later
+    # in interpolation
     with pytest.raises(ConfigError) as err:
         AttractionPotential.gaussian_bump(Dimension(3), 0.01, **kwargs)
     assert err.value.reason == "invalid solver config"
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-200])
+def test_double_well_refuses_wells_at_the_origin(a):
+    # a^2 = 0 divided by zero in every closure
+    with pytest.raises(ConfigError) as err:
+        double_well(a)
+    assert err.value.reason == "invalid potential"
 
 
 def test_zero_potential():
