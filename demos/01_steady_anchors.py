@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from repelflow import (Dimension, build_steady_state, quadratic, quartic,
-                       steady_energy, verify_steady)
+                       verify_steady)
 
 
 def show(tag, V, dim, m0):
@@ -20,7 +20,7 @@ def show(tag, V, dim, m0):
     rep = verify_steady(st, V, tol=1e-6 * max(1.0, abs(float(V.slope(st.R_inf)))))
     mid = st.density.values[st.density.values.size // 2]
     print(f"{tag:28s} R = {st.R_inf:.10f}  rho(mid) = {mid:.8f}  "
-          f"E = {steady_energy(st, V):+.8f}")
+          f"E = {st.E_inf:+.8f}")
     print(f"{'':28s} sup |velocity| on support = {rep.max_speed:.3e} "
           f"({'ok' if rep.passed else 'MOVING'})")
     return st

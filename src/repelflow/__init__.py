@@ -16,7 +16,7 @@ from .density import (RadialDensity, uniform_ball, annulus, line_interval,
                       from_callable, newtonian_radial_potential,
                       radial_energy, l1_distance)
 from .steady import (SteadyState, solve_support_radius, build_steady_state,
-                     radial_velocity, verify_steady, steady_energy)
+                     radial_velocity, verify_steady)
 from .lagrangian import (LagrangianState, EvolutionConfig, init_lagrangian,
                          evolve, reconstruct_density, steady_quantile_state,
                          support_radius)
@@ -29,7 +29,7 @@ from .attraction import (spherical_mean_convolve, shell_mean,
                          SelfConsistentField, SmallnessReport,
                          effective_attraction_potential, attraction_energy)
 from .diagnostics import (DiagnosticSeries, collect_series, shell_energy,
-                          energy, dissipation, discrepancy, lyapunov,
+                          dissipation, discrepancy, lyapunov,
                           l1_to_steady, fit_rate, RateFit, gamma_theory,
                           density_bounds_onset)
 from .errors import (SolverError, ConfigError, PotentialError,

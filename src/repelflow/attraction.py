@@ -34,7 +34,7 @@ from .errors import (ConfigError, ConvergenceError, NumericsError,
                      ResolutionError, ResolutionWarning)
 from .geometry import Dimension, edge_repulsion_bound
 from .potentials import RadialPotential, table_potential
-from .steady import SteadyState, verify_steady
+from .steady import SteadyState, bisect, verify_steady
 
 __all__ = [
     "SelfConsistentField",
@@ -327,19 +327,16 @@ def check_smallness(epsilon, dim):
     c_d_prime = dim.ball_volume ** (-1.0 / dim.d)
     lhs1, rhs1, lhs2, rhs2, S, R = _smallness_sides(epsilon, dim, c_d_prime)
 
-    lo, hi = 0.0, 0.49
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        l1, r1, l2, r2, _, _ = _smallness_sides(mid, dim, c_d_prime)
-        if l1 < r1 and l2 < r2:
-            lo = mid
-        else:
-            hi = mid
+    def both_hold(eps):
+        l1, r1, l2, r2, _, _ = _smallness_sides(float(eps), dim, c_d_prime)
+        return l1 < r1 and l2 < r2
+
+    eps_star, _ = bisect(both_hold, 0.0, 0.49)
     return SmallnessReport(epsilon=float(epsilon), d=dim.d, supp_measure=float(S),
                            R_inf=float(R), lhs1=float(lhs1), rhs1=float(rhs1),
                            cond1_ok=bool(lhs1 < rhs1), lhs2=float(lhs2),
                            rhs2=float(rhs2), cond2_ok=bool(lhs2 < rhs2),
-                           eps_star=float(lo))
+                           eps_star=float(eps_star))
 
 
 def _smallness_gate(W, dim, allow_unproven):
@@ -377,18 +374,8 @@ def _radius_from_laplacian(grid, lap_vals, dim, m0):
     if total <= m0:
         raise NumericsError("field Laplacian holds too little mass on the "
                             "search grid", reason="numerics failure")
-    lo, hi = 0.0, float(grid[-1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if profile.enclosed_mass(mid) < m0:
-            if lo == mid:
-                break     # (lo, hi) is a fixed point: later steps repeat this one
-            lo = mid
-        else:
-            if hi == mid:
-                break
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = bisect(lambda r: profile.enclosed_mass(r) < m0, 0.0, grid[-1])
+    return float(0.5 * (lo + hi))
 
 
 def _field_tables(grid, lap_vals, dim, m0_quad):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._table import read_table, write_table
-from .density import RadialDensity, radial_energy
 from .density import l1_distance as _l1_profiles
 from .errors import ConfigError, NumericsError
 from .lagrangian import LagrangianState, reconstruct_density, rhs, steady_quantile_state, support_radius
@@ -23,7 +22,6 @@ __all__ = [
     "DiagnosticSeries",
     "RateFit",
     "shell_energy",
-    "energy",
     "dissipation",
     "discrepancy",
     "lyapunov",
@@ -63,30 +61,10 @@ def shell_energy(state, V):
     return interaction + float(np.sum(m * V.value(R)))
 
 
-def energy(obj, V):
-    """Energy dispatch: radial profile, quantile state, or particle cloud."""
-    if isinstance(obj, RadialDensity):
-        return radial_energy(obj, V)
-    if isinstance(obj, LagrangianState):
-        return shell_energy(obj, V)
-    from .particles import ParticleCloud, discrete_energy
-    if isinstance(obj, ParticleCloud):
-        return discrete_energy(obj, V)
-    raise ConfigError(f"no energy rule for {type(obj).__name__}",
-                      reason="invalid state")
-
-
 def dissipation(state, V_eff):
     """D = sum m_i u_i^2 >= 0, the instantaneous energy decay rate."""
-    if isinstance(state, LagrangianState):
-        u, _ = rhs(state, V_eff)
-        return float(np.sum(state.cell_masses * u * u))
-    from .particles import ParticleCloud, velocity_field
-    if isinstance(state, ParticleCloud):
-        u = velocity_field(state, V_eff)
-        return float(np.sum(state.weights * np.sum(u * u, axis=-1)))
-    raise ConfigError(f"no dissipation rule for {type(state).__name__}",
-                      reason="invalid state")
+    u, _ = rhs(state, V_eff)
+    return float(np.sum(state.cell_masses * u * u))
 
 
 def discrepancy(state, V_eff):
@@ -95,8 +73,12 @@ def discrepancy(state, V_eff):
     return 0.5 * float(np.sum(state.cell_masses * dev * dev))
 
 
+# weights of the discrepancy and support terms in the Lyapunov functional
+EPS1, EPS2 = 0.1, 0.01
+
+
 def lyapunov(energy_gap, discrepancy_value, support_gap, dim,
-             eps1=0.1, eps2=0.01, m=None):
+             eps1=EPS1, eps2=EPS2, m=None):
     """(E - E_inf) + eps1 F + eps2 (R - R_inf)_+^m with m > d required."""
     if m is None:
         m = dim.d + 1
@@ -159,8 +141,7 @@ class DiagnosticSeries:
         return cls(*rows.T, params=params)
 
 
-def collect_series(snapshots, V, steady=None, eps1=0.1, eps2=0.01, m=None,
-                   with_l1=True):
+def collect_series(snapshots, V, steady=None, with_l1=True):
     """Assemble a DiagnosticSeries from quantile snapshots.
 
     The reference energy is the shell energy of the steady quantile
@@ -171,8 +152,7 @@ def collect_series(snapshots, V, steady=None, eps1=0.1, eps2=0.01, m=None,
         raise ConfigError("no snapshots to diagnose", reason="invalid series")
     dim = snapshots[0].dim
     m0 = snapshots[0].m0
-    if m is None:
-        m = dim.d + 1
+    m = dim.d + 1
     if steady is not None:
         ref = steady_quantile_state(V, dim, m0, snapshots[0].n)
         E_inf = shell_energy(ref, V)
@@ -187,13 +167,12 @@ def collect_series(snapshots, V, steady=None, eps1=0.1, eps2=0.01, m=None,
         D.append(dissipation(s, V))
         F.append(discrepancy(s, V))
         R.append(support_radius(s))
-        L.append(lyapunov(E[-1] - E_inf, F[-1], R[-1] - R_inf, dim,
-                          eps1=eps1, eps2=eps2, m=m))
+        L.append(lyapunov(E[-1] - E_inf, F[-1], R[-1] - R_inf, dim, m=m))
         if rho_inf is not None and with_l1:
             l1.append(l1_to_steady(s, rho_inf))
         else:
             l1.append(0.0)
-    params = {"eps1": eps1, "eps2": eps2, "m": m, "E_inf": E_inf, "R_inf": R_inf,
+    params = {"eps1": EPS1, "eps2": EPS2, "m": m, "E_inf": E_inf, "R_inf": R_inf,
               "d": dim.d, "m0": m0, "n_quantiles": snapshots[0].n}
     return DiagnosticSeries(times=np.array(t), energy=np.array(E),
                             dissipation=np.array(D), discrepancy=np.array(F),

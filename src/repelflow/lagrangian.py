@@ -18,8 +18,8 @@ import numpy as np
 
 from ._cubic import pchip
 from .density import RadialDensity, _cumulative_mass
-from .errors import ConfigError, PotentialError, ResolutionWarning, StiffnessError
-from .steady import solve_support_radius
+from .errors import ConfigError, ResolutionWarning, StiffnessError
+from .steady import _mass_radii
 
 __all__ = [
     "LagrangianState",
@@ -248,12 +248,11 @@ def step(state, V_eff, config, dt_cap=None):
                                dt=dt, accept_streak=streak)
 
 
-def evolve(state, V_eff, config, observer=None):
+def evolve(state, V_eff, config):
     """Run to t_end, collecting snapshots every snapshot_stride accepts.
 
     ``V_eff`` is a RadialPotential, or a callable state -> RadialPotential
     for self-consistent fields refreshed once per accepted step.
-    ``observer(state)`` is called after every accepted step when given.
     Returns (final_state, snapshots); snapshots include t=0 and t_end.
     """
     refresh = V_eff if callable(V_eff) and not hasattr(V_eff, "slope") else None
@@ -267,8 +266,6 @@ def evolve(state, V_eff, config, observer=None):
         remaining = config.t_end - state.time
         state = step(state, pot, config, dt_cap=remaining)
         accepted += 1
-        if observer is not None:
-            observer(state)
         if accepted % config.snapshot_stride == 0:
             snapshots.append(state)
         if refresh is not None:
@@ -373,37 +370,7 @@ def steady_quantile_state(V, dim, m0, N):
     fixed-point test input.
     """
     masses = np.full(N, m0 / N)
-    targets = np.cumsum(masses) - 0.5 * masses
-    d = dim.d
-    scale = max(1.0, V.r_scale)
-    if d == 1:
-        targets = targets - 0.5 * m0
-        probe = np.geomspace(1e-8, 1.0, 32) * scale
-        slopes = V.slope(np.concatenate([-probe[::-1], probe]))
-        if np.any(np.diff(slopes) < 0.0):
-            raise PotentialError("V' must be monotone for the d=1 steady inversion",
-                                 reason="invalid potential")
-        hi = scale
-        while float(V.slope(np.asarray(hi))) < 0.5 * m0:
-            hi *= 2.0
-        lo_b, hi_b = np.full(N, -hi), np.full(N, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            g = V.slope(mid)
-            lo_b = np.where(g < targets, mid, lo_b)
-            hi_b = np.where(g < targets, hi_b, mid)
-        radii = 0.5 * (lo_b + hi_b)
-    else:
-        R_edge = solve_support_radius(V, dim, m0)
-        lo_b = np.full(N, 1e-12 * R_edge)
-        hi_b = np.full(N, R_edge * (1 + 1e-12))
-        sd = dim.sphere_area
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            g = sd * mid ** (d - 1) * V.slope(mid)
-            lo_b = np.where(g < targets, mid, lo_b)
-            hi_b = np.where(g < targets, hi_b, mid)
-        radii = 0.5 * (lo_b + hi_b)
+    radii = _mass_radii(V, dim, m0, np.cumsum(masses) - 0.5 * masses)
     densities = np.asarray(V.laplacian(radii, dim), dtype=float)
     state = LagrangianState(cell_masses=masses, radii=radii, densities=densities,
                             time=0.0, dim=dim, m0=m0)

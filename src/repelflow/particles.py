@@ -27,6 +27,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from .errors import ConfigError, DivergenceError, ResolutionWarning, StiffnessError
+from .steady import bisect
 
 __all__ = [
     "ParticleCloud",
@@ -94,13 +95,8 @@ def sample_radial(density, N, rng, rho_ref=None):
     rng = np.random.default_rng(rng)
     m0 = density.mass
     targets = (np.arange(1, N + 1) - 0.5) * (m0 / N)
-    lo = np.full(N, density.grid[0])
-    hi = np.full(N, density.grid[-1])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = density.enclosed_mass(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    lo, hi = bisect(lambda r: density.enclosed_mass(r) < targets,
+                    density.grid[0], density.grid[-1])
     radii = 0.5 * (lo + hi)
     if dim.d == 2:
         theta = rng.uniform(0.0, 2.0 * np.pi, N)

@@ -41,17 +41,14 @@ __all__ = [
 class RadialPotential:
     """Confinement given by closures for V, and optionally V' and V''.
 
-    Closures must accept numpy arrays.  ``smoothness_order`` is carried as
-    metadata (9 marks analytic built-ins); rate experiments expect >= 3.
+    Closures must accept numpy arrays.
     """
 
-    def __init__(self, value, slope=None, second=None, smoothness_order=9,
-                 r_scale=1.0, name=""):
+    def __init__(self, value, slope=None, second=None, r_scale=1.0, name=""):
         self._value = value
         self._slope = slope
         self._second = second
         self._analytic = slope is not None and second is not None
-        self.smoothness_order = smoothness_order
         self.r_scale = float(r_scale)
         self.name = name or "custom"
         self._fd_h = 1e-4 * max(1.0, self.r_scale)
@@ -173,7 +170,6 @@ def table_potential(r, v, vp, vpp, name="table"):
         lambda x: val(np.abs(x)),
         slope=lambda x: np.sign(x) * slo(np.abs(x)),
         second=lambda x: sec(np.abs(x)),
-        smoothness_order=2,
         r_scale=float(r[-1]),
         name=name,
     )
@@ -199,7 +195,6 @@ class AttractionPotential:
             lambda r: np.asarray(r, float) ** 2 / (2.0 * d) + w.value(r),
             slope=lambda r: np.asarray(r, float) / d + w.slope(r),
             second=lambda r: 1.0 / d + w.second(r),
-            smoothness_order=w.smoothness_order,
             r_scale=w.r_scale,
             name=f"attraction[{w.name}]",
         )
@@ -233,17 +228,23 @@ class AttractionPotential:
             raise ConfigError(f"bump width must be positive, with a nonzero square, "
                               f"got {width!r}", reason="invalid solver config")
         beta = sign * epsilon / (2.0 * dim.d)
+        reach = 28.0 * width     # exp(-(r/width)^2) is 0 in double beyond
 
+        def near(f):
+            # f is 0 beyond the reach, so clipping r there keeps every value
+            # and keeps r^3 / s2 and u^2 from overflowing for narrow bumps
+            return lambda r: f(np.clip(np.asarray(r, dtype=float), -reach, reach))
+
+        @near
         def val(r):
-            r = np.asarray(r, dtype=float)
             return beta * r * r * np.exp(-r * r / s2)
 
+        @near
         def slo(r):
-            r = np.asarray(r, dtype=float)
             return beta * np.exp(-r * r / s2) * (2.0 * r - 2.0 * r ** 3 / s2)
 
+        @near
         def sec(r):
-            r = np.asarray(r, dtype=float)
             u = r * r / s2
             return beta * np.exp(-u) * (2.0 - 10.0 * u + 4.0 * u * u)
 
@@ -308,6 +309,9 @@ def check_compact_support_tail(V, dim, c_V, R0):
     Requires V'(r) >= c_V r^(-(d-1)/(d+1)) for all sampled r >= R0,
     together with Lap V >= 0 and a finite sampled sup of Lap V.
     """
+    if not 0.0 < R0 < np.inf:
+        raise ConfigError(f"tail check needs a finite R0 > 0, got {R0!r}",
+                          reason="invalid radius")
     radii = np.geomspace(R0, 1e3 * R0, 200)
     alpha = (dim.d - 1) / (dim.d + 1)
     floor = c_V * radii ** (-alpha)

@@ -25,7 +25,6 @@ __all__ = [
     "build_steady_state",
     "radial_velocity",
     "verify_steady",
-    "steady_energy",
 ]
 
 
@@ -51,12 +50,31 @@ def _mass_map(V, dim, R):
     return dim.sphere_area * R ** (dim.d - 1) * V.slope(R)
 
 
-def solve_support_radius(V, dim, m0, tol=1e-10, r_max=1e6):
-    """Support radius R solving sigma_d R^(d-1) V'(R) = m0 by bisection.
+def bisect(below, lo, hi):
+    """Bisect the brackets [lo, hi] elementwise to their fixed point.
+
+    ``below(x)`` holds at lo and fails at hi; the brackets take the shape
+    of its result.  Each step moves one end to the midpoint until the
+    midpoint rounds to an end, so lo and hi finish as adjacent floats; a
+    bracket holding NaN stops at once.  Returns (lo, hi).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return lo, hi
+        inside = below(mid)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+
+
+def _mass_radii(V, dim, m0, targets):
+    """Radii at which the steady state of mass m0 encloses each target mass.
 
     The confinement must have Lap V > 0 away from the origin and pass the
-    Pareto tail trend; a missing bracket below ``r_max`` means the tail is
-    too weak to hold the requested mass.
+    Pareto tail trend; a missing bracket below r_max means the tail is too
+    weak to hold m0.  On the line the radius is the signed X with
+    mass target to its left, V'(X) = target - m0/2.
     """
     if m0 <= 0.0:
         raise ConfigError("total mass m0 must be positive", reason="invalid mass")
@@ -65,39 +83,39 @@ def solve_support_radius(V, dim, m0, tol=1e-10, r_max=1e6):
         raise PotentialError("Lap V must be positive away from the origin",
                              reason="invalid potential")
 
+    r_min, r_max = 1e-8, 1e6
     hi = max(1.0, V.r_scale)
-    for _ in range(200):
-        if _mass_map(V, dim, hi) > m0:
-            break
+    while not _mass_map(V, dim, hi) > m0:
         hi *= 2.0
         if hi > r_max:
             tail = check_pareto_tail(V, dim)
-            raise TailTooWeakError(
-                f"no support radius below {r_max:g}: {tail.note}",
-                reason="tail too weak")
-    lo = 1e-8
-    if _mass_map(V, dim, lo) >= m0:
-        raise PotentialError("mass map already exceeds m0 at r = 1e-8",
+            raise TailTooWeakError(f"no support radius below {r_max:g}: {tail.note}",
+                                   reason="tail too weak")
+    if _mass_map(V, dim, r_min) >= m0:
+        raise PotentialError(f"mass map already exceeds m0 at r = {r_min:g}",
                              reason="invalid potential")
-    samples = _mass_map(V, dim, np.geomspace(lo, hi, 64))
+    samples = _mass_map(V, dim, np.geomspace(r_min, hi, 64))
     if np.any(np.diff(samples) < 0.0):
         raise PotentialError("mass map sigma_d r^(d-1) V'(r) is not monotone",
                              reason="invalid potential")
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = _mass_map(V, dim, mid)
-        if abs(g - m0) <= tol * m0:
-            return mid
-        if g < m0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(_mass_map(V, dim, mid) - m0) <= tol * m0:
-        return mid
-    raise PotentialError("bisection failed to meet the mass tolerance",
-                         reason="invalid potential")
+    targets = np.asarray(targets, dtype=float)
+    if dim.d == 1:
+        level = targets - 0.5 * m0
+        lo, hi = bisect(lambda x: V.slope(x) < level, -hi, hi)
+    else:
+        # the mass map vanishes at the origin, below every positive target
+        lo, hi = bisect(lambda r: _mass_map(V, dim, r) < targets, 0.0, hi)
+    return 0.5 * (lo + hi)
+
+
+def solve_support_radius(V, dim, m0):
+    """Support radius R solving sigma_d R^(d-1) V'(R) = m0, to the last bit."""
+    R = float(_mass_radii(V, dim, m0, m0))
+    if abs(_mass_map(V, dim, R) - m0) > 1e-10 * m0:
+        raise PotentialError("bisection failed to meet the mass tolerance",
+                             reason="invalid potential")
+    return R
 
 
 def build_steady_state(V, dim, m0, n=8192):
@@ -183,8 +201,3 @@ def verify_steady(state, V, tol=None, n=4096):
     k = int(np.argmax(np.abs(u)))
     return VelocityReport(max_speed=float(np.abs(u[k])), at_radius=float(radii[k]),
                           tol=float(tol), n_samples=n, passed=bool(np.abs(u[k]) <= tol))
-
-
-def steady_energy(state, V):
-    """E = 1/2 int Phi_N rho + int V rho for the constructed state."""
-    return radial_energy(state.density, V)

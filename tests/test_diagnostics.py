@@ -7,7 +7,7 @@ import pytest
 
 from repelflow import (Dimension, quadratic, uniform_ball, init_lagrangian,
                        evolve, EvolutionConfig, build_steady_state,
-                       shell_energy, energy, dissipation, discrepancy,
+                       shell_energy, dissipation, discrepancy,
                        lyapunov, collect_series, DiagnosticSeries, fit_rate,
                        gamma_theory, density_bounds_onset, radial_energy,
                        l1_to_steady, reconstruct_density)
@@ -50,14 +50,6 @@ def test_shell_energy_matches_integral_limit():
     E_fine = shell_energy(steady_quantile_state(quadratic(), d2, 2 * math.pi, 1024), quadratic())
     assert abs(E_fine - E_cont) < abs(E_coarse - E_cont)
     assert E_fine == pytest.approx(E_cont, rel=2e-3)
-
-
-def test_energy_dispatch():
-    d2 = Dimension(2)
-    rho = uniform_ball(d2, 2.0, 1.0)
-    assert energy(rho, quadratic()) == pytest.approx(radial_energy(rho, quadratic()), rel=1e-14)
-    st = init_lagrangian(rho, 32, d2)
-    assert energy(st, quadratic()) == pytest.approx(shell_energy(st, quadratic()), rel=1e-14)
 
 
 def test_lyapunov_assembly():

@@ -110,17 +110,11 @@ def test_energy_dissipation_identity():
     d2 = Dimension(2)
     rho0 = uniform_ball(d2, 2.0 / 2.25, 1.5)
     st = init_lagrangian(rho0, 64, d2)
-    times, energies, rates = [], [], []
-
-    def watch(s):
-        times.append(s.time)
-        energies.append(shell_energy(s, quadratic()))
-        rates.append(dissipation(s, quadratic()))
-
-    watch(st)
-    cfg = EvolutionConfig(t_end=2.0, dt_max=0.02)
-    evolve(st, quadratic(), cfg, observer=watch)
-    t, E, D = map(np.asarray, (times, energies, rates))
+    cfg = EvolutionConfig(t_end=2.0, dt_max=0.02, snapshot_stride=1)
+    _, snaps = evolve(st, quadratic(), cfg)
+    t = np.array([s.time for s in snaps])
+    E = np.array([shell_energy(s, quadratic()) for s in snaps])
+    D = np.array([dissipation(s, quadratic()) for s in snaps])
     drop = E[0] - E[-1]
     integral = np.trapezoid(D, t)
     assert drop > 0.0

@@ -1,6 +1,7 @@
 """Confinement potentials, attraction kernels, and tail validators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,22 @@ def test_gaussian_bump_refuses_sign_and_width(kwargs):
     assert err.value.reason == "invalid solver config"
 
 
+def test_narrow_gaussian_bump_evaluates_without_overflow():
+    # width^2 = 1e-320 is nonzero, so the width passes; r^3 / width^2 and
+    # u^2 overflowed in the closures, and exp(-u) = 0 turned them into NaN
+    d = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d, 0.01, width=1e-160)
+    r = np.linspace(0.0, 5.0, 101)
+    w = W.perturbation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [w.value(r), w.slope(r), w.second(r), w.laplacian(r, d),
+                  W.base.laplacian(r, d)]
+    assert all(np.all(np.isfinite(v)) for v in values)
+    assert np.all(values[0] == 0.0) and np.all(values[1] == 0.0)
+    assert values[3][0] == pytest.approx(0.01, rel=1e-12)
+
+
 @pytest.mark.parametrize("a", [0.0, 1e-200])
 def test_double_well_refuses_wells_at_the_origin(a):
     # a^2 = 0 divided by zero in every closure
@@ -160,3 +177,10 @@ def test_compact_support_tail_validator():
     rep2 = check_compact_support_tail(V, d, c_V=0.1, R0=1.0)
     assert not rep2.passed
     assert not rep2.slope_ok
+
+
+@pytest.mark.parametrize("R0", [0.0, -1.0, np.nan, np.inf])
+def test_compact_support_tail_refuses_bad_radius(R0):
+    with pytest.raises(ConfigError) as err:
+        check_compact_support_tail(quadratic(), Dimension(3), c_V=1.0, R0=R0)
+    assert err.value.reason == "invalid radius"
