@@ -85,7 +85,6 @@ class ExperimentConfig:
     dt_max: float = 0.1
     t_end: float = 10.0
     rk_order: int = 4
-    crossing_policy: str = "reject_step"
     snapshot_stride: int = 10
     steady_n_grid: int = 8192
     # particle solver
@@ -112,11 +111,10 @@ class ExperimentConfig:
         return EvolutionConfig(dt_init=self.dt_init, dt_min=self.dt_min,
                                dt_max=self.dt_max, t_end=self.t_end,
                                rk_order=self.rk_order,
-                               crossing_policy=self.crossing_policy,
                                snapshot_stride=self.snapshot_stride)
 
     def validate(self):
-        # EvolutionConfig holds the dt order, rk_order and crossing_policy rules
+        # EvolutionConfig holds the dt order, rk_order and snapshot_stride rules
         self.evolution()
         for name, choices in CHOICES.items():
             if getattr(self, name) not in choices:
@@ -265,7 +263,7 @@ INI_LAYOUT = (
     ("rho0", RHO0_KEYS),
     ("rho0_alt", RHO0_KEYS),
     ("solver", ("n_quantiles", "dt_init", "dt_min", "dt_max", "t_end",
-                "rk_order", "crossing_policy", "snapshot_stride",
+                "rk_order", "snapshot_stride",
                 ("n_grid", "steady_n_grid"))),
     ("particles", (("n", "n_particles"), ("t_end", "particle_t_end"),
                    ("dt_max", "particle_dt_max"),
@@ -344,6 +342,15 @@ def config_from_ini(path):
         keys = _SECTIONS[section]
         values = {}
         for key, raw in pairs:
+            if (section, key) == ("solver", "crossing_policy"):
+                # retired with the merge policy; every config_used.ini written
+                # before holds reject_step, the one rule left, so it still replays
+                if raw.strip() not in ("", "reject_step"):
+                    raise ConfigError(f"unknown crossing_policy {raw.strip()!r}: the "
+                                      "merge policy was removed, and a quantile "
+                                      "crossing always halves dt",
+                                      reason="invalid solver config")
+                continue
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in [{section}]; keys: "
                                   f"{', '.join(keys)}",
@@ -513,7 +520,9 @@ def _run_simulate_radial(cfg, out, dim, V, starts):
     try:
         steady = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
     except PotentialError:
-        steady = None  # e.g. double-well: no unique reference profile
+        # e.g. double-well: no unique reference profile; a coarse n_grid
+        # raises ResolutionError, which fails the run
+        steady = None
     evo = cfg.evolution()
     artifacts, summary = [], {"mode": "simulate_radial", "d": dim.d,
                               "m0": cfg.m0, "t_end": cfg.t_end}

@@ -70,7 +70,6 @@ class LagrangianState:
                               reason="invalid state")
 
 
-CROSSING_POLICIES = ("reject_step", "merge")
 # fewest quantiles a state may carry: reconstruct_density needs them
 MIN_QUANTILES = 16
 
@@ -82,9 +81,8 @@ class EvolutionConfig:
     dt_max: float = 0.1
     t_end: float = 10.0
     rk_order: int = 4
-    crossing_policy: str = "reject_step"   # or "merge"
     snapshot_stride: int = 10
-    density_cap: float | None = None       # default 10 * sup Lap V, set by evolve
+    density_cap: float | None = None       # default 10 max(sup Lap V, max rho_i), set by evolve
 
     def __post_init__(self):
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
@@ -92,10 +90,6 @@ class EvolutionConfig:
                               reason="invalid solver config")
         if self.rk_order not in (2, 4):
             raise ConfigError("rk_order must be 2 or 4", reason="invalid solver config")
-        if self.crossing_policy not in CROSSING_POLICIES:
-            raise ConfigError(f"unknown crossing_policy {self.crossing_policy!r}; "
-                              f"choices: {', '.join(CROSSING_POLICIES)}",
-                              reason="invalid solver config")
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be at least 1",
                               reason="invalid solver config")
@@ -186,33 +180,22 @@ def _try_rk(state, V_eff, dt, order):
 def _default_density_cap(state, V_eff):
     r_hi = 4.0 * max(float(np.max(np.abs(state.radii))), 1.0)
     probe = np.linspace(1e-3, r_hi, 512)
-    return 10.0 * float(np.max(V_eff.laplacian(probe, state.dim)))
-
-
-def _merge_once(state):
-    """Merge the adjacent pair with the smallest gap (explicit opt-in policy)."""
-    if state.n < 2:
-        raise _StepReject("cannot merge a single quantile")
-    gaps = np.diff(state.radii)
-    j = int(np.argmin(gaps))
-    cm, R, p = state.cell_masses, state.radii, state.densities
-    mass = cm[j] + cm[j + 1]
-    merged = LagrangianState(
-        cell_masses=np.concatenate([cm[:j], [mass], cm[j + 2:]]),
-        radii=np.concatenate([R[:j], [0.5 * (R[j] + R[j + 1])], R[j + 2:]]),
-        densities=np.concatenate([p[:j], [(cm[j] * p[j] + cm[j + 1] * p[j + 1]) / mass],
-                                  p[j + 2:]]),
-        time=state.time, dim=state.dim, m0=state.m0,
-        dt=state.dt, accept_streak=0)
-    return merged
+    # the logistic law keeps each carried density below max(rho_i, sup Lap V),
+    # so a start denser than sup Lap V is not a blow-up
+    return 10.0 * max(float(np.max(V_eff.laplacian(probe, state.dim))),
+                      float(np.max(state.densities)))
 
 
 def step(state, V_eff, config, dt_cap=None):
     """Advance by one accepted step of the adaptive RK integrator.
 
-    Rejections halve dt: ordering violations (under the default
-    reject_step policy), densities leaving (0, 10 sup Lap V], or a radius
-    crossing the origin.  Ten consecutive accepts double dt up to dt_max.
+    A trial step is rejected, and dt halved, for any of four reasons:
+    a radius at or past the origin (d >= 2, at a stage or at the end), a
+    non-finite stage result, a carried density outside (0, density_cap],
+    or quantile ordering violated.  The exact flow never crosses
+    characteristics, so a crossing is a step-size artifact and the cell
+    masses never change.  Below dt_min a rejection raises StiffnessError.
+    Ten consecutive accepts double dt up to dt_max.
     """
     cap = config.density_cap
     if cap is None:
@@ -225,11 +208,8 @@ def step(state, V_eff, config, dt_cap=None):
             if state.dim.d >= 2 and np.any(R1 <= 0.0):
                 raise _StepReject("radius crossed the origin")
             if np.any(p1 <= 0.0) or np.any(p1 > cap):
-                raise _StepReject("density left (0, 10 A]")
+                raise _StepReject("density left (0, density_cap]")
             if np.any(np.diff(R1) <= 0.0):
-                if config.crossing_policy == "merge":
-                    state = _merge_once(state)
-                    continue
                 raise _StepReject("quantile ordering violated")
         except _StepReject as reject:
             dt *= 0.5

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import RadialDensity, newtonian_radial_potential, radial_energy
-from .errors import ConfigError, PotentialError, TailTooWeakError
+from .errors import ConfigError, PotentialError, ResolutionError, TailTooWeakError
 from .potentials import check_pareto_tail
 
 __all__ = [
@@ -124,7 +124,8 @@ def build_steady_state(V, dim, m0, n=8192):
     The density grid covers exactly [0, R_inf] with n cells (for d = 1,
     [-R, R] with 2n cells, the same spacing), so the sharp support edge
     never sits inside a quadrature cell; n = 8192 keeps the piecewise-linear
-    mass of curved profiles within 1e-8 relative.
+    mass of curved profiles within 1e-8 relative, and a grid too coarse
+    for that raises ResolutionError.
     """
     R = solve_support_radius(V, dim, m0)
     if dim.d == 1:
@@ -137,9 +138,9 @@ def build_steady_state(V, dim, m0, n=8192):
                              reason="invalid potential")
     density = RadialDensity(grid, values, dim, support_radius=R)
     if abs(density.mass - m0) > 1e-8 * m0:
-        raise PotentialError(
-            f"steady mass off by {abs(density.mass - m0) / m0:.2e} relative",
-            reason="invalid potential")
+        raise ResolutionError(
+            f"steady mass off by {abs(density.mass - m0) / m0:.2e} relative "
+            f"on n = {n} cells; use a larger n", reason="insufficient resolution")
     E = radial_energy(density, V)
     # phi_N + V is constant on the support; read it at the first knot
     phi = newtonian_radial_potential(density)

@@ -25,7 +25,6 @@ from repelflow import (AttractionPotential, Dimension, ParticleCloud,
                        build_steady_state, load_cloud, newtonian_radial_potential,
                        quartic, save_cloud, solve_attraction_steady, verify_steady)
 from repelflow.diagnostics import DiagnosticSeries
-from repelflow.lagrangian import CROSSING_POLICIES
 from repelflow.errors import ConfigError, ResolutionWarning
 
 
@@ -288,6 +287,117 @@ def test_unknown_names_exit_2(tmp_path, capsys, mode, text):
     assert not out.exists()
 
 
+# the config that once lost 60 of its 64 quantiles to the merge policy: its
+# dt_init of 0.5 makes RK stages cross, and each crossing halves dt
+_CROSSING_RUN = """
+[run]
+mode = simulate_radial
+
+[problem]
+dimension = 2
+m0 = 2.0
+
+[potential]
+kind = quartic
+param = 4.0
+
+[rho0]
+kind = annulus
+r_in = 0.3
+r_out = 1.5
+
+[rho0_alt]
+kind = ball
+radius = 1.0
+
+[solver]
+n_quantiles = 64
+dt_init = 0.5
+dt_max = 1.0
+t_end = 3.0
+"""
+
+
+def test_the_retired_crossing_policy_key_replays_or_refuses(tmp_path, capsys):
+    # every config_used.ini written while the merge policy existed holds
+    # crossing_policy = reject_step in [solver]; it replays to the same bytes
+    first = tmp_path / "first"
+    ini = _write_ini(tmp_path / "in.ini", _CROSSING_RUN)
+    assert main(["simulate_radial", "--config", ini, "--out", str(first)]) == 0
+    summary = json.loads((first / "summary.json").read_text())
+    assert summary["run"]["n_final"] == summary["run_alt"]["n_final"] == 64
+    written = (first / "config_used.ini").read_text()
+    assert "crossing_policy" not in written
+    old = written.replace("\nsnapshot_stride = ",
+                          "\ncrossing_policy = reject_step\nsnapshot_stride = ")
+    assert "[solver]\nn_quantiles = 64\ndt_init = 0.5\ndt_min = 1e-09\ndt_max = 1.0\n" \
+           "t_end = 3.0\nrk_order = 4\ncrossing_policy = reject_step\n" \
+           "snapshot_stride = 10\n" in old
+    second = tmp_path / "second"
+    assert main(["simulate_radial", "--config", _write_ini(tmp_path / "old.ini", old),
+                 "--out", str(second)]) == 0
+    for name in ("series.csv", "series_alt.csv", "snapshots.csv", "snapshots_alt.csv",
+                 "summary.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    # the key is read, never written back
+    assert (second / "config_used.ini").read_text() == written.replace(str(first),
+                                                                      str(second))
+    out = tmp_path / "merge"
+    merge = _write_ini(tmp_path / "merge.ini", old.replace("= reject_step", "= merge"))
+    assert main(["simulate_radial", "--config", merge, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown crossing_policy 'merge': the merge policy was removed" in err
+    assert "reason: invalid solver config" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["steady", "simulate_radial"])
+def test_a_coarse_steady_grid_is_a_resolution_failure(tmp_path, capsys, mode):
+    # on 10 cells the quartic steady profile misses its 1e-8 mass check; a
+    # radial run used to drop its steady reference and exit 0 with
+    # E_inf = R_inf = 0 in series.csv
+    ini = _write_ini(tmp_path / "c.ini", f"[run]\nmode = {mode}\n\n"
+                     "[potential]\nkind = quartic\n\n[solver]\nn_grid = 10\n")
+    out = tmp_path / "o"
+    assert main([mode, "--config", ini, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "relative on n = 10 cells" in err
+    assert "reason: insufficient resolution" in err
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == \
+        ["config_used.ini"]
+
+
+def test_a_double_well_runs_without_a_steady_reference(tmp_path):
+    # Lap V < 0 near the origin refuses the steady profile as a potential
+    # fault, and the radial run goes on without its reference
+    ini = _write_ini(tmp_path / "w.ini", """
+[run]
+mode = simulate_radial
+
+[problem]
+dimension = 1
+m0 = 0.5
+
+[potential]
+kind = double-well
+
+[rho0]
+kind = interval
+a = -1.3
+b = -0.7
+
+[solver]
+n_quantiles = 32
+t_end = 0.5
+""")
+    out = tmp_path / "o"
+    assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 0
+    run = json.loads((out / "summary.json").read_text())["run"]
+    assert "l1_to_steady" not in run and "support_bound" not in run
+    series = DiagnosticSeries.from_csv(out / "series.csv")
+    assert not np.any(series.l1_dist)
+
+
 @pytest.mark.parametrize("line", ["n = 0", "n = -3", "rk_order = 3", "safety = 0",
                                   "dt_max = 0", "dt_max = -0.1"])
 def test_bad_particle_settings_exit_2(tmp_path, capsys, line):
@@ -528,7 +638,6 @@ _FIELDS = st.builds(ExperimentConfig, **{
     **{f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)
        if f.type in _BY_TYPE},
     **{name: st.sampled_from(choices) for name, choices in CHOICES.items()},
-    "crossing_policy": st.sampled_from(CROSSING_POLICIES),
     "rk_order": st.sampled_from((2, 4)),
     "m0": st.floats(min_value=1e-300, allow_infinity=False),
     "n_quantiles": st.integers(16, 10**9),
@@ -566,9 +675,11 @@ def test_any_config_survives_the_ini_round_trip(tmp_path_factory, cfg):
 
 _KEYS = {section: [entry if isinstance(entry, str) else entry[0]
                    for entry in entries] for section, entries in INI_LAYOUT}
+# the retired key is still read, so the fuzz draws it and its old values too
+_KEYS["solver"].append("crossing_policy")
 _VALUES = st.one_of(st.text(max_size=12), st.integers().map(str),
                     st.floats().map(str),
-                    st.sampled_from([v for c in (*CHOICES.values(), CROSSING_POLICIES)
+                    st.sampled_from([v for c in (*CHOICES.values(), ("reject_step", "merge"))
                                      for v in c]))
 
 

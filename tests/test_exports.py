@@ -28,3 +28,19 @@ def test_package_imports_exist():
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
                 assert hasattr(repelflow, alias.asname or alias.name)
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_resolve(demo):
+    # no test runs the demos, so a removed name would break them silently
+    imports = [node for node in ast.walk(ast.parse(demo.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "repelflow"]
+    assert imports, f"{demo.name} imports nothing from repelflow"
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
