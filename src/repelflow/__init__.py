@@ -13,7 +13,7 @@ from .potentials import (RadialPotential, quadratic, quartic, log_tail,
                          AttractionPotential, check_pareto_tail,
                          check_compact_support_tail)
 from .density import (RadialDensity, uniform_ball, annulus, line_interval,
-                      from_callable, newtonian_radial_potential,
+                      newtonian_radial_potential,
                       radial_energy, l1_distance)
 from .steady import (SteadyState, solve_support_radius, build_steady_state,
                      radial_velocity, verify_steady)
@@ -24,10 +24,9 @@ from .particles import (ParticleCloud, sample_radial, velocity_field,
                         run_particles, discrete_energy, save_cloud,
                         load_cloud, cloud_support_radius,
                         default_regularization)
-from .attraction import (spherical_mean_convolve, shell_mean,
-                         solve_attraction_steady, check_smallness,
-                         SelfConsistentField, SmallnessReport,
-                         effective_attraction_potential, attraction_energy)
+from .attraction import (spherical_mean_convolve, solve_attraction_steady,
+                         check_smallness, SelfConsistentField, SmallnessReport,
+                         effective_attraction_potential)
 from .diagnostics import (DiagnosticSeries, collect_series, shell_energy,
                           dissipation, discrepancy, lyapunov,
                           l1_to_steady, fit_rate, RateFit, gamma_theory,

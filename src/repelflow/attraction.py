@@ -17,8 +17,8 @@ density's radii s.  K of a smooth kernel is analytic, hence numerically low
 rank: ``_convolution``, one operator per kernel and density, reads it from a
 p x p Chebyshev-Lobatto grid whose half-node interpolant certifies it (w = 0
 at p = 17, with C = 0), and evaluates it at every (r, s) pair only when no
-grid up to p = 257 certifies.  The shell sums of ``shell_mean`` and
-``effective_attraction_potential`` evaluate K pointwise.
+grid up to p = 257 certifies.  The shell sums of
+``effective_attraction_potential`` evaluate K pointwise (``_sphere_mean``).
 """
 
 import functools
@@ -40,11 +40,9 @@ __all__ = [
     "SelfConsistentField",
     "SmallnessReport",
     "spherical_mean_convolve",
-    "shell_mean",
     "solve_attraction_steady",
     "effective_attraction_potential",
     "check_smallness",
-    "attraction_energy",
 ]
 
 _THETA_NODES = 64
@@ -97,8 +95,9 @@ def _angular_mean(fs, dim):
 def _sphere_mean(fs, dim, t_max):
     """Kernel mean(r, s): the average of f(|x - y|) over |y| = s at |x| = r.
 
-    Valid for broadcastable r, s >= 0 with r + s <= t_max; returns one row
-    per f in ``fs``, shape (len(fs),) + broadcast shape.  In d = 3 the
+    A shell of mass m at radius s convolves to m mean(r, s).  Valid for
+    broadcastable r, s >= 0 with r + s <= t_max; returns one row per f in
+    ``fs``, shape (len(fs),) + broadcast shape.  In d = 3 the
     average is exactly (G(r+s) - G(|r-s|)) / (2 r s) with G' = t f(t); one
     table of every G is built here from Gauss pieces on each knot interval
     and fitted by a cubic Hermite spline with the exact slope t f(t).
@@ -261,20 +260,6 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025):
     return _convolution(f, rho, dim, float(np.max(r, initial=0.0)), n_s)(r)
 
 
-def shell_mean(f, r, s, dim):
-    """Average of f(|x - y|) over y on the sphere |y| = s, evaluated at |x| = r.
-
-    A shell of mass m at radius s convolves to m * shell_mean, which turns
-    quantile states into convolution sums without a gridded density.  In
-    d = 3 the average is the exact identity (G(r+s) - G(|r-s|)) / (2 r s),
-    G' = t f(t); other d integrate the angle with 64-node Gauss-Legendre.
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    t_max = float(np.max(r, initial=0.0) + np.max(s, initial=0.0))
-    return _sphere_mean((f,), dim, t_max)(r, s)[0]
-
-
 @dataclass
 class SmallnessReport:
     """Verbatim evaluation of the two sufficient smallness conditions."""
@@ -397,7 +382,8 @@ def _field_tables(grid, lap_vals, dim, m0_quad):
 
 def _field_and_energy(density, W, r):
     """(W * density)(r) at radii r that begin with the density's grid, the
-    quadratic part in closed form, and the energy that field gives."""
+    quadratic part in closed form, and the energy that field gives,
+    E = 1/2 int Phi_N rho + 1/2 int (W * rho) rho."""
     grid = density.grid
     second_moment = float(density._quadrature(density.values * grid * grid))
     w = _convolution(W.perturbation.value, density, density.dim, float(np.max(r)))
@@ -405,11 +391,6 @@ def _field_and_energy(density, W, r):
     phi = newtonian_radial_potential(density)
     return field, float(density._quadrature(
         (0.5 * phi + 0.5 * field[:grid.size]) * density.values))
-
-
-def attraction_energy(density, W):
-    """E = 1/2 int Phi_N rho + 1/2 int (W * rho) rho for a radial profile."""
-    return _field_and_energy(density, W, density.grid)[1]
 
 
 def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,

@@ -22,15 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Dimension
-from .potentials import (RadialPotential, AttractionPotential, quadratic,
-                         quartic, log_tail, double_well, zero_potential,
-                         table_potential, check_pareto_tail,
-                         check_compact_support_tail)
+from .potentials import (AttractionPotential, quadratic, quartic, log_tail,
+                         double_well, zero_potential, table_potential,
+                         check_pareto_tail, check_compact_support_tail)
 from .density import (uniform_ball, annulus, line_interval, l1_distance,
                       newtonian_radial_potential)
 from .steady import build_steady_state
-from .lagrangian import (MIN_QUANTILES, EvolutionConfig, init_lagrangian,
-                         evolve, reconstruct_density, support_radius)
+from .lagrangian import (DT_MIN, MIN_QUANTILES, EvolutionConfig, _check_rk_order,
+                         init_lagrangian, evolve, reconstruct_density,
+                         support_radius)
 from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius, _cloud_header,
@@ -81,7 +81,7 @@ class ExperimentConfig:
     # quantile solver
     n_quantiles: int = 512
     dt_init: float = 0.01
-    dt_min: float = 1e-9
+    dt_min: float = DT_MIN
     dt_max: float = 0.1
     t_end: float = 10.0
     rk_order: int = 4
@@ -142,9 +142,7 @@ class ExperimentConfig:
             if count < least:
                 raise ConfigError(f"{setting} must be at least {least}",
                                   reason="invalid solver config")
-        if self.particle_rk_order not in (2, 4):
-            raise ConfigError("[particles] rk_order must be 2 or 4",
-                              reason="invalid solver config")
+        _check_rk_order(self.particle_rk_order, "[particles] rk_order")
         for spec in (self.rho0, self.rho0_alt):
             if spec and spec.get("kind", "ball") not in RHO0_KINDS:
                 raise ConfigError(f"unknown rho0 kind {spec['kind']!r}",

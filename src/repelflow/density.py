@@ -21,7 +21,6 @@ __all__ = [
     "uniform_ball",
     "annulus",
     "line_interval",
-    "from_callable",
     "newtonian_radial_potential",
     "radial_energy",
     "l1_distance",
@@ -69,7 +68,7 @@ class RadialDensity:
     support radius; all integrals are exact for that interpolant.
     """
 
-    def __init__(self, grid, values, dim, support_radius=None):
+    def __init__(self, grid, values, dim, support_radius):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
@@ -84,12 +83,6 @@ class RadialDensity:
         self.grid = grid
         self.values = np.clip(values, 0.0, None)
         self.dim = dim
-        if support_radius is None:
-            positive = np.nonzero(self.values > 0.0)[0]
-            if len(positive) == 0:
-                raise ConfigError("density vanishes identically", reason="invalid density")
-            edge = positive[-1]
-            support_radius = grid[min(edge + 1, len(grid) - 1)] if dim.d >= 2 else grid[edge]
         self.support_radius = float(support_radius)
         self._cum = None
         self._knots = None
@@ -196,13 +189,6 @@ def line_interval(dim, value, a, b, n=1024):
     grid = np.linspace(a, b, n)
     return RadialDensity(grid, np.full(n, float(value)), dim,
                          support_radius=max(abs(a), abs(b)))
-
-
-def from_callable(dim, f, support_radius, n=2048):
-    """Sample a radial profile f on [0, support_radius]."""
-    grid = np.linspace(0.0, support_radius, n)
-    return RadialDensity(grid, np.asarray(f(grid), dtype=float), dim,
-                         support_radius=support_radius)
 
 
 def newtonian_radial_potential(density):

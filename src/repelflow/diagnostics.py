@@ -77,19 +77,10 @@ def discrepancy(state, V_eff):
 EPS1, EPS2 = 0.1, 0.01
 
 
-def lyapunov(energy_gap, discrepancy_value, support_gap, dim,
-             eps1=EPS1, eps2=EPS2, m=None):
-    """(E - E_inf) + eps1 F + eps2 (R - R_inf)_+^m with m > d required."""
-    if m is None:
-        m = dim.d + 1
-    if m <= dim.d:
-        raise ConfigError(f"lyapunov exponent m={m} must exceed d={dim.d}",
-                          reason="invalid solver config")
-    if eps1 <= 0.0 or eps2 <= 0.0:
-        raise ConfigError("lyapunov weights must be positive",
-                          reason="invalid solver config")
-    return float(energy_gap + eps1 * discrepancy_value
-                 + eps2 * max(support_gap, 0.0) ** m)
+def lyapunov(energy_gap, discrepancy_value, support_gap, dim):
+    """(E - E_inf) + EPS1 F + EPS2 (R - R_inf)_+^m with m = d + 1."""
+    return float(energy_gap + EPS1 * discrepancy_value
+                 + EPS2 * max(support_gap, 0.0) ** (dim.d + 1))
 
 
 def l1_to_steady(state, steady):
@@ -115,21 +106,26 @@ class DiagnosticSeries:
     l1_dist: np.ndarray
     params: dict = field(default_factory=dict)   # eps1, eps2, m, E_inf, R_inf, d, m0
 
-    def validate(self, energy_tol=1e-8):
+    def _columns(self):
+        return (self.times, self.energy, self.dissipation, self.discrepancy,
+                self.support, self.lyapunov, self.l1_dist)
+
+    def _check_samples(self):
+        """Every entry finite and the times strictly increasing."""
+        if not all(np.all(np.isfinite(c)) for c in self._columns()):
+            raise ConfigError("series contains non-finite entries", reason="invalid series")
         if np.any(np.diff(self.times) <= 0.0):
             raise ConfigError("series times must increase strictly", reason="invalid series")
-        cols = [self.energy, self.dissipation, self.discrepancy, self.support,
-                self.lyapunov, self.l1_dist]
-        if not all(np.all(np.isfinite(c)) for c in cols):
-            raise NumericsError("series contains non-finite entries", reason="invalid series")
+
+    def validate(self):
+        """The sample checks, and an energy that rises by at most 1e-8 relative."""
+        self._check_samples()
         scale = np.abs(self.energy[:-1])
-        if np.any(np.diff(self.energy) > energy_tol * np.maximum(scale, 1e-300)):
+        if np.any(np.diff(self.energy) > 1e-8 * np.maximum(scale, 1e-300)):
             raise NumericsError("energy increased beyond tolerance", reason="invalid series")
 
     def to_csv(self, path):
-        write_table(path, SERIES_COLUMNS,
-                    (self.times, self.energy, self.dissipation, self.discrepancy,
-                     self.support, self.lyapunov, self.l1_dist), self.params)
+        write_table(path, SERIES_COLUMNS, self._columns(), self.params)
 
     @classmethod
     def from_csv(cls, path):
@@ -138,7 +134,9 @@ class DiagnosticSeries:
         numbers = all(type(params.get(k, 0.0)) in (int, float) for k in ("E_inf", "R_inf"))
         if rows.shape[1] != len(SERIES_COLUMNS) or not numbers:
             raise ConfigError(f"malformed series file {path}", reason="invalid series")
-        return cls(*rows.T, params=params)
+        series = cls(*rows.T, params=params)
+        series._check_samples()
+        return series
 
 
 def collect_series(snapshots, V, steady=None, with_l1=True):
@@ -167,7 +165,7 @@ def collect_series(snapshots, V, steady=None, with_l1=True):
         D.append(dissipation(s, V))
         F.append(discrepancy(s, V))
         R.append(support_radius(s))
-        L.append(lyapunov(E[-1] - E_inf, F[-1], R[-1] - R_inf, dim, m=m))
+        L.append(lyapunov(E[-1] - E_inf, F[-1], R[-1] - R_inf, dim))
         if rho_inf is not None and with_l1:
             l1.append(l1_to_steady(s, rho_inf))
         else:
@@ -287,11 +285,13 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
                    gamma_head=float(g_head), gamma_tail=float(g_tail), q_exponent=q)
 
 
-def density_bounds_onset(snapshots, lower, upper, slack=1e-12):
+def density_bounds_onset(snapshots, lower, upper):
     """Earliest snapshot time from which densities stay inside [lower, upper].
 
+    The band is widened by 1e-12, relative and absolute, at both ends.
     Returns None if the final snapshot still violates the band.
     """
+    slack = 1e-12
     onset = None
     for s in reversed(snapshots):
         ok = (np.all(s.densities >= lower * (1.0 - slack) - slack)

@@ -72,12 +72,20 @@ class LagrangianState:
 
 # fewest quantiles a state may carry: reconstruct_density needs them
 MIN_QUANTILES = 16
+# default smallest step of the shell solver, and the particle solver's floor
+DT_MIN = 1e-9
+
+
+def _check_rk_order(order, setting="rk_order"):
+    """The explicit Runge-Kutta orders both solvers take: 2 and 4."""
+    if order not in (2, 4):
+        raise ConfigError(f"{setting} must be 2 or 4", reason="invalid solver config")
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     dt_init: float = 0.01
-    dt_min: float = 1e-9
+    dt_min: float = DT_MIN
     dt_max: float = 0.1
     t_end: float = 10.0
     rk_order: int = 4
@@ -88,8 +96,7 @@ class EvolutionConfig:
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
             raise ConfigError("need 0 < dt_min <= dt_init <= dt_max",
                               reason="invalid solver config")
-        if self.rk_order not in (2, 4):
-            raise ConfigError("rk_order must be 2 or 4", reason="invalid solver config")
+        _check_rk_order(self.rk_order)
         if self.snapshot_stride < 1:
             raise ConfigError("snapshot_stride must be at least 1",
                               reason="invalid solver config")

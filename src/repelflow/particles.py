@@ -27,6 +27,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from .errors import ConfigError, DivergenceError, ResolutionWarning, StiffnessError
+from .lagrangian import DT_MIN, _check_rk_order
 from .steady import bisect
 
 __all__ = [
@@ -210,8 +211,7 @@ def velocity_field(cloud, V=None, W=None):
 
 def advance(cloud, dt, V=None, W=None, rk_order=2, k1=None):
     """One explicit RK step of size dt; weights untouched."""
-    if rk_order not in (2, 4):
-        raise ConfigError("rk_order must be 2 or 4", reason="invalid solver config")
+    _check_rk_order(rk_order)
     pos = cloud.positions
     if k1 is None:
         k1 = velocity_field(cloud, V=V, W=W)
@@ -235,7 +235,7 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
     """Advance to t_end with dt capped so max |u| dt <= safety * delta_reg.
 
     Returns (final cloud, snapshots); snapshots include t = 0 and t_end.
-    A cap below 1e-9 raises StiffnessError, as no run could end.
+    A cap below DT_MIN raises StiffnessError, as no run could end.
     """
     if not (dt_max > 0.0 and safety > 0.0):
         raise ConfigError("dt_max and safety must be positive",
@@ -249,8 +249,8 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
         k1 = velocity_field(cloud, V=V, W=W)
         vmax = float(np.max(np.linalg.norm(k1, axis=1)))
         dt = dt_max if vmax == 0.0 else min(dt_max, safety * cloud.delta_reg / vmax)
-        if dt < 1e-9:    # the radial solver's default dt_min
-            raise StiffnessError(f"particle dt fell below 1e-09 at t={cloud.time:g}",
+        if dt < DT_MIN:
+            raise StiffnessError(f"particle dt fell below {DT_MIN:g} at t={cloud.time:g}",
                                  reason="dt underflow")
         dt = min(dt, t_end - cloud.time)
         cloud = advance(cloud, dt, V=V, W=W, rk_order=rk_order, k1=k1)

@@ -5,13 +5,13 @@ Laplacian
 
     Lap V(r) = V''(r) + (d - 1) V'(r) / r ,   Lap V(0) = d V''(0),
 
-which is the steady density value inside the support.  Closures for V' and
-V'' are used when supplied and replaced by 5-point finite differences of an
-even extension otherwise.
+which is the steady density value inside the support.  A confinement is
+given by exact closures for V, V' and V''.
 
 Attraction kernels are written as W(r) = r^2 / (2d) + w(r); the size of the
 perturbation is measured by eps = sup |Lap w|, the quantity that controls
 how far the self-consistent steady state can drift from the unperturbed one.
+A perturbation is given together with its eps.
 """
 
 import math
@@ -39,43 +39,28 @@ __all__ = [
 
 
 class RadialPotential:
-    """Confinement given by closures for V, and optionally V' and V''.
+    """Confinement given by closures for V, V' and V''.
 
     Closures must accept numpy arrays.
     """
 
-    def __init__(self, value, slope=None, second=None, r_scale=1.0, name=""):
+    def __init__(self, value, slope, second, r_scale=1.0, name=""):
         self._value = value
         self._slope = slope
         self._second = second
-        self._analytic = slope is not None and second is not None
         self.r_scale = float(r_scale)
         self.name = name or "custom"
-        self._fd_h = 1e-4 * max(1.0, self.r_scale)
-        # below this radius slope/r is replaced by its limit; finite
-        # difference slopes lose too many digits for the quotient earlier
-        self._r_origin = (1e-12 if self._analytic else 1e-5) * max(1.0, self.r_scale)
+        # below this radius slope/r is replaced by its limit
+        self._r_origin = 1e-12 * max(1.0, self.r_scale)
 
     def value(self, r):
         return self._value(np.asarray(r, dtype=float))
 
     def slope(self, r):
-        r = np.asarray(r, dtype=float)
-        if self._slope is not None:
-            return self._slope(r)
-        h = self._fd_h
-        # even extension: radial potentials satisfy V(-r) = V(r)
-        f = lambda x: self._value(np.abs(x))
-        return (-f(r + 2 * h) + 8 * f(r + h) - 8 * f(r - h) + f(r - 2 * h)) / (12 * h)
+        return self._slope(np.asarray(r, dtype=float))
 
     def second(self, r):
-        r = np.asarray(r, dtype=float)
-        if self._second is not None:
-            return self._second(r)
-        h = self._fd_h
-        f = lambda x: self._value(np.abs(x))
-        return (-f(r + 2 * h) + 16 * f(r + h) - 30 * f(r)
-                + 16 * f(r - h) - f(r - 2 * h)) / (12 * h * h)
+        return self._second(np.asarray(r, dtype=float))
 
     def laplacian(self, r, dim):
         """Radial Laplacian; at the origin the analytic limit d V''(0)."""
@@ -180,38 +165,19 @@ class AttractionPotential:
 
     The quadratic part is normalized so that w = 0 reproduces the exactly
     solvable kernel whose steady state is the density m0 on the ball of
-    unit volume.  ``epsilon`` is estimated on a log-spaced grid of 1000
-    radii in (0, 10 r_scale] (plus the origin limit) when not supplied.
+    unit volume.  No perturbation means w = 0 and eps = 0; a perturbation
+    must come with its ``epsilon``.
     """
 
     def __init__(self, dim, perturbation=None, epsilon=None):
         self.dim = dim
-        d = dim.d
         if perturbation is None:
             perturbation = zero_potential()
+        elif epsilon is None:
+            raise ConfigError(f"perturbation {perturbation.name} needs its "
+                              "epsilon = sup |Lap w|", reason="invalid potential")
         self.perturbation = perturbation
-        w = perturbation
-        self.base = RadialPotential(
-            lambda r: np.asarray(r, float) ** 2 / (2.0 * d) + w.value(r),
-            slope=lambda r: np.asarray(r, float) / d + w.slope(r),
-            second=lambda r: 1.0 / d + w.second(r),
-            r_scale=w.r_scale,
-            name=f"attraction[{w.name}]",
-        )
-        if epsilon is None:
-            grid = np.geomspace(1e-6, 10.0, 1000) * max(1.0, w.r_scale)
-            lap = np.abs(w.laplacian(grid, dim))
-            origin = abs(w.laplacian(0.0, dim))
-            epsilon = float(max(np.max(lap), origin))
-        self.epsilon = float(epsilon)
-
-    def slope_bound_report(self, radii):
-        """Check |w'(r)| <= eps r / d, which follows from sup |Lap w| <= eps."""
-        radii = np.asarray(radii, dtype=float)
-        lhs = np.abs(self.perturbation.slope(radii))
-        rhs = self.epsilon * radii / self.dim.d
-        ok = bool(np.all(lhs <= rhs * (1.0 + 1e-9) + 1e-15))
-        return ok, lhs, rhs
+        self.epsilon = float(epsilon or 0.0)
 
     @classmethod
     def gaussian_bump(cls, dim, epsilon, width=1.0, sign=1):

@@ -152,20 +152,14 @@ def build_steady_state(V, dim, m0, n=8192):
 def radial_velocity(density, V, dim, r):
     """Radial velocity M(r)/(sigma_d r^(d-1)) - V'(r) of a radial profile.
 
-    ``density`` may be None for the empty profile (pure confinement pull).
     For d = 1 the centered form (M(x) - m0/2) - V'(x) is returned.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if density is None:
-        enclosed = np.zeros_like(r)
-        m_total = 0.0
-    else:
-        enclosed = density.enclosed_mass(r)
-        m_total = density.mass
+    enclosed = density.enclosed_mass(r)
     if dim.d == 1:
-        u = (enclosed - 0.5 * m_total) - V.slope(r)
+        u = (enclosed - 0.5 * density.mass) - V.slope(r)
     else:
         if np.any(r <= 0.0):
             raise ConfigError("radial velocity needs r > 0", reason="invalid radius")
@@ -184,14 +178,15 @@ class VelocityReport:
     passed: bool
 
 
-def verify_steady(state, V, tol=None, n=4096):
-    """Max |u| over a fine grid on the support; pass iff <= tol.
+def verify_steady(state, V, tol=None):
+    """Max |u| over 4096 radii on the support; pass iff <= tol.
 
     The default tolerance is 1e-8 max(1, V'(R_inf)), the scale of the
     confinement pull at the edge.
     """
     dim = state.dim
     R = state.R_inf
+    n = 4096
     if tol is None:
         tol = 1e-8 * max(1.0, abs(float(V.slope(np.asarray(R)))))
     if dim.d == 1:

@@ -1,19 +1,18 @@
 """Self-consistent attraction fields: convolution, smallness, fixed point."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from repelflow import (Dimension, uniform_ball, AttractionPotential,
-                       spherical_mean_convolve, shell_mean, check_smallness,
+                       spherical_mean_convolve, check_smallness,
                        solve_attraction_steady, effective_attraction_potential,
-                       attraction_energy, init_lagrangian, verify_steady)
+                       init_lagrangian, verify_steady)
 from repelflow import attraction
-from repelflow.attraction import (_barycentric, _convolution, _lobatto, _lowrank_kernel,
-                                  _sphere_mean)
+from repelflow.attraction import (_barycentric, _convolution, _field_and_energy,
+                                  _lobatto, _lowrank_kernel, _sphere_mean)
 from repelflow.errors import ConfigError, ResolutionError, ResolutionWarning
 
 
@@ -42,8 +41,8 @@ def test_convolution_of_square_kernel():
 def test_shell_mean_normalization_and_reduction():
     # f = 1 averages to 1; a ball assembled from shells matches the integral
     dim = Dimension(3)
-    ones = shell_mean(lambda z: np.ones_like(z), np.array([0.7, 2.0]),
-                      np.array([1.0, 0.4]), dim)
+    ones = _sphere_mean((lambda z: np.ones_like(z),), dim, 3.0)(
+        np.array([0.7, 2.0]), np.array([1.0, 0.4]))[0]
     assert np.allclose(ones, 1.0, rtol=1e-13)
     rho = uniform_ball(dim, 2.0, 1.0, n=4001)
     r = np.array([0.4, 1.5])
@@ -53,7 +52,7 @@ def test_shell_mean_normalization_and_reduction():
     w = np.full(shells.size, shells[1] - shells[0])
     w[0] = w[-1] = 0.5 * w[0]
     w *= dim.sphere_area * shells ** 2 * 2.0
-    assembled = shell_mean(np.cos, r[:, None], shells[None, :], dim) @ w
+    assembled = _sphere_mean((np.cos,), dim, 2.5)(r[:, None], shells[None, :])[0] @ w
     assert np.allclose(direct, assembled, rtol=1e-4)
 
 
@@ -70,12 +69,14 @@ def test_shell_mean_d3_closed_forms():
     probe = np.concatenate([[0.0, 1e-9, 1e-6, 1e-3],
                             np.random.default_rng(5).uniform(0.0, 2.0, 60)])
     r, s = probe[:, None], probe[None, :]
-    square = shell_mean(lambda t: t * t, r, s, dim)
+    t_max = 2.0 * float(np.max(probe))
+    square = _sphere_mean((lambda t: t * t,), dim, t_max)(r, s)[0]
     assert np.max(np.abs(square - (r * r + s * s))) <= 1e-11 * np.max((r + s) ** 2)
     rs = r * s
     gauss = np.where(rs > 0.0, -np.exp(-(r - s) ** 2) * np.expm1(-4.0 * rs)
                      / (4.0 * np.where(rs > 0.0, rs, 1.0)), np.exp(-(r - s) ** 2))
-    assert np.max(np.abs(shell_mean(lambda t: np.exp(-t * t), r, s, dim) - gauss)) <= 1e-11
+    gauss_mean = _sphere_mean((lambda t: np.exp(-t * t),), dim, t_max)(r, s)[0]
+    assert np.max(np.abs(gauss_mean - gauss)) <= 1e-11
 
 
 def test_resolution_gate_trips_on_needle():
@@ -282,7 +283,8 @@ def test_one_kernel_grid_per_operator(monkeypatch):
         st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
                                             allow_unproven=True)
     assert len(built) == field.iteration + 2
-    assert st.E_inf == pytest.approx(attraction_energy(st.density, W), rel=1e-14)
+    energy = _field_and_energy(st.density, W, st.density.grid)[1]
+    assert st.E_inf == pytest.approx(energy, rel=1e-14)
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}])
@@ -331,4 +333,5 @@ def test_attraction_energy_grows_with_spread():
     wide = uniform_ball(d2, 0.25, 2.0)
     assert tight.mass == pytest.approx(wide.mass, rel=1e-12)
     # far apart mass pays quadratic attraction cost
-    assert attraction_energy(wide, W) > attraction_energy(tight, W)
+    energies = [_field_and_energy(rho, W, rho.grid)[1] for rho in (wide, tight)]
+    assert energies[0] > energies[1]

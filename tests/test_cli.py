@@ -809,6 +809,31 @@ series = /nonexistent/series.csv
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("column, row, value", [
+    ("energy", 60, np.nan), ("l1_dist", 30, np.inf), ("times", 60, np.nan),
+    ("times", 60, 5.9)], ids=["nan-E", "inf-l1", "nan-t", "repeated-t"])
+def test_a_series_not_finite_or_not_increasing_exits_2(tmp_path, capsys, column, row, value):
+    # a nan in E was fitted: exit 0 with gamma_hat = nan
+    run_dir = _algebraic_series(tmp_path)
+    series = DiagnosticSeries.from_csv(run_dir / "series.csv")
+    getattr(series, column)[row] = value
+    series.to_csv(run_dir / "series.csv")
+    ini = _write_ini(tmp_path / "r.ini", f"""
+[run]
+mode = rates
+
+[rates]
+series = {run_dir}
+window_lo = 1.0
+window_hi = 10.0
+""")
+    out = tmp_path / "f"
+    assert main(["rates", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: series" in err and "reason: invalid series" in err
+    assert not out.exists()
+
+
 def test_rates_takes_dimension_from_series_header(tmp_path):
     # no [problem] section: the d = 2 series must not be fitted as d = 3
     run_dir = tmp_path / "run"

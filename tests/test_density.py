@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repelflow import (Dimension, RadialDensity, uniform_ball, annulus,
-                       line_interval, from_callable,
+                       line_interval,
                        newtonian_radial_potential, radial_energy, l1_distance,
                        quadratic)
 from repelflow.errors import ConfigError
@@ -23,7 +23,8 @@ def test_masses_of_flat_profiles_are_exact():
 
 def test_curved_profile_mass():
     # rho(r) = 4 r^2 on the unit disk carries 2 pi (d = 2)
-    rho = from_callable(Dimension(2), lambda r: 4.0 * r * r, 1.0)
+    r = np.linspace(0.0, 1.0, 2048)
+    rho = RadialDensity(r, 4.0 * r * r, Dimension(2), support_radius=1.0)
     assert rho.mass == pytest.approx(2 * math.pi, rel=1e-6)
 
 
@@ -106,9 +107,10 @@ def test_renormalizing_a_subnormal_mass_is_refused():
 def test_validation_errors():
     d2 = Dimension(2)
     with pytest.raises(ConfigError):
-        RadialDensity(np.array([0.0, 1.0, 0.5]), np.ones(3), d2)
+        RadialDensity(np.array([0.0, 1.0, 0.5]), np.ones(3), d2, support_radius=1.0)
     with pytest.raises(ConfigError):
-        RadialDensity(np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.1, 1.0]), d2)
+        RadialDensity(np.array([0.0, 0.5, 1.0]), np.array([1.0, -0.1, 1.0]), d2,
+                      support_radius=1.0)
 
 
 def test_call_interpolates_and_vanishes_outside():

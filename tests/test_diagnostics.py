@@ -54,14 +54,13 @@ def test_shell_energy_matches_integral_limit():
 
 def test_lyapunov_assembly():
     d2 = Dimension(2)
-    val = lyapunov(0.5, 0.2, 0.3, d2, eps1=0.1, eps2=0.01, m=3)
+    # weights 0.1 and 0.01, support exponent m = d + 1
+    val = lyapunov(0.5, 0.2, 0.3, d2)
     assert val == pytest.approx(0.5 + 0.1 * 0.2 + 0.01 * 0.3 ** 3, rel=1e-14)
+    assert lyapunov(0.5, 0.2, 0.3, Dimension(3)) == pytest.approx(
+        0.5 + 0.1 * 0.2 + 0.01 * 0.3 ** 4, rel=1e-14)
     # negative support gap contributes nothing
     assert lyapunov(0.5, 0.2, -0.3, d2) == pytest.approx(0.5 + 0.1 * 0.2, rel=1e-14)
-    with pytest.raises(ConfigError):
-        lyapunov(0.5, 0.2, 0.3, d2, m=2)
-    with pytest.raises(ConfigError):
-        lyapunov(0.5, 0.2, 0.3, d2, eps1=-1.0)
 
 
 def test_discrepancy_vanishes_at_steady():

@@ -44,3 +44,31 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _dotted(node):
+    """'rf.AttractionPotential.gaussian_bump' for a chain of attribute reads."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_names_resolve():
+    # the test suite does not collect bench/, so a removed name would break
+    # the benchmark while every test here passed
+    roots = {"rf": repelflow, "cli": importlib.import_module("repelflow.cli")}
+    tree = ast.parse(WORKLOADS.read_text())
+    chains = {_dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = sorted(c for c in chains if c and c.split(".")[0] in roots)
+    assert "rf.evolve" in chains and "cli.recipe" in chains
+    for chain in chains:
+        root, *attrs = chain.split(".")
+        obj = roots[root]
+        for attr in attrs:
+            assert hasattr(obj, attr), f"bench/workloads.py reads missing {chain}"
+            obj = getattr(obj, attr)

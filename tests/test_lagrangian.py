@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repelflow import (Dimension, uniform_ball, annulus, line_interval,
                        quadratic, quartic, double_well, init_lagrangian,
@@ -300,7 +300,8 @@ def _radial_runs(draw):
         rho0 = annulus(dim, 1.0, r_in, r_in + draw(st.floats(0.2, 1.5)))
     rho0 = rho0.renormalized(draw(st.floats(0.5, 5.0)))
     V = draw(st.sampled_from((quadratic, quartic)))(draw(st.floats(0.5, 2.0)))
-    # steps up to 0.5 let RK stages cross, which the solver must reject
+    # no drawn run crosses: with the ordering rejection switched off all
+    # 100 draws still pass, so the @example below is the run that crosses
     dt = draw(st.floats(0.01, 0.5))
     cfg = EvolutionConfig(dt_init=dt, dt_max=2.0 * dt, t_end=draw(st.floats(0.02, 0.5)),
                           rk_order=draw(st.sampled_from((2, 4))),
@@ -310,6 +311,8 @@ def _radial_runs(draw):
 
 @settings(max_examples=100)
 @given(run=_radial_runs())
+@example(run=(_ladder_state(), _colliding_field(),
+              EvolutionConfig(dt_init=0.04, dt_max=0.05, t_end=0.04, density_cap=1e9)))
 def test_evolve_keeps_mass_order_and_positive_densities(run):
     state, V, cfg = run
     _, snaps = evolve(state, V, cfg)

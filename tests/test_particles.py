@@ -70,8 +70,10 @@ def _brute_force(cloud, V=None, W=None):
             E += 0.5 * w[i] * w[j] * (-math.log(rr) / (2 * math.pi) if d == 2
                                       else dim.newton_coeff * rr ** (2 - d))
             if W is not None:
-                u[i] -= w[j] * float(W.base.slope(r)) * z / r
-                E += 0.5 * w[i] * w[j] * float(W.base.value(r))
+                # W = r^2 / (2d) + w
+                pert = W.perturbation
+                u[i] -= w[j] * (r / d + float(pert.slope(r))) * z / r
+                E += 0.5 * w[i] * w[j] * (r * r / (2 * d) + float(pert.value(r)))
         if V is not None:
             r = math.sqrt(pos[i] @ pos[i])
             u[i] -= float(V.slope(r)) * pos[i] / r

@@ -1,6 +1,5 @@
 """Confinement potentials, attraction kernels, and tail validators."""
 
-import math
 import warnings
 
 import numpy as np
@@ -41,21 +40,12 @@ def test_double_well_geometry():
     assert V.value(np.asarray(0.0)) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_finite_difference_fallback():
-    # value-only potential: slope and curvature from the even extension
-    V = RadialPotential(lambda r: 0.25 * r ** 4, r_scale=1.0)
-    r = np.array([0.3, 1.0, 2.5])
-    assert np.allclose(V.slope(r), r ** 3, rtol=1e-8, atol=1e-8)
-    assert np.allclose(V.second(r), 3 * r * r, rtol=1e-5, atol=1e-5)
-    # the quotient slope/r stays finite through the origin window
-    lap = V.laplacian(np.array([0.0, 1e-7, 0.5]), Dimension(3))
-    assert np.all(np.isfinite(lap))
-
-
 def _laplacian_cases():
     r = np.linspace(0.0, 3.0, 32)
     return [quadratic(), quartic(), double_well(a=1.5),
-            RadialPotential(lambda r: 0.5 * r * r + 0.1 * r ** 4),
+            RadialPotential(lambda r: 0.5 * r * r + 0.1 * r ** 4,
+                            slope=lambda r: r + 0.4 * r ** 3,
+                            second=lambda r: 1.0 + 1.2 * r * r),
             table_potential(r, 0.5 * r * r, r, np.ones_like(r))]
 
 
@@ -92,9 +82,21 @@ def test_attraction_quadratic_normalization():
     d = Dimension(3)
     W = AttractionPotential(d)
     r = np.array([0.5, 1.0, 2.0])
-    assert np.allclose(W.base.value(r), r * r / 6.0, atol=1e-15)
+    # W = r^2 / (2d) + w with w = 0
+    assert np.all(W.perturbation.value(r) == 0.0)
+    assert np.all(W.perturbation.laplacian(r, d) == 0.0)
     assert W.epsilon == 0.0
     assert W.perturbation.name == "zero"
+
+
+def test_a_perturbation_needs_its_epsilon():
+    # eps is never sampled from w: a perturbation comes with its eps or is refused
+    d = Dimension(3)
+    w = AttractionPotential.gaussian_bump(d, 0.01).perturbation
+    with pytest.raises(ConfigError) as err:
+        AttractionPotential(d, perturbation=w)
+    assert err.value.reason == "invalid potential"
+    assert AttractionPotential(d, perturbation=w, epsilon=0.01).epsilon == 0.01
 
 
 def test_gaussian_bump_epsilon_and_slope_bound():
@@ -103,9 +105,10 @@ def test_gaussian_bump_epsilon_and_slope_bound():
     # sup |Lap w| sits at the origin: 2 d beta = eps
     assert W.epsilon == pytest.approx(0.01, rel=1e-12)
     assert abs(W.perturbation.laplacian(0.0, d)) == pytest.approx(0.01, rel=1e-12)
+    # sup |Lap w| <= eps gives |w'(r)| <= eps r / d
     radii = np.geomspace(1e-3, 10.0, 200)
-    ok, lhs, rhs = W.slope_bound_report(radii)
-    assert ok
+    lhs = np.abs(W.perturbation.slope(radii))
+    rhs = W.epsilon * radii / d.d
     assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-15)
     # sign flip keeps the magnitude
     Wm = AttractionPotential.gaussian_bump(d, 0.01, sign=-1)
@@ -133,8 +136,7 @@ def test_narrow_gaussian_bump_evaluates_without_overflow():
     w = W.perturbation
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values = [w.value(r), w.slope(r), w.second(r), w.laplacian(r, d),
-                  W.base.laplacian(r, d)]
+        values = [w.value(r), w.slope(r), w.second(r), w.laplacian(r, d)]
     assert all(np.all(np.isfinite(v)) for v in values)
     assert np.all(values[0] == 0.0) and np.all(values[1] == 0.0)
     assert values[3][0] == pytest.approx(0.01, rel=1e-12)
