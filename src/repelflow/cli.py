@@ -29,9 +29,8 @@ from .density import (uniform_ball, annulus, line_interval, l1_distance,
                       newtonian_radial_potential)
 from .steady import build_steady_state
 from .lagrangian import (DT_MIN, MIN_QUANTILES, EvolutionConfig, _check_rk_order,
-                         init_lagrangian, evolve, reconstruct_density,
-                         support_radius)
-from .diagnostics import collect_series, fit_rate, DiagnosticSeries, l1_to_steady
+                         init_lagrangian, evolve, reconstruct_density)
+from .diagnostics import collect_series, fit_rate, DiagnosticSeries, _check_window
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius, _cloud_header,
                         _cloud_columns)
@@ -534,14 +533,13 @@ def _run_simulate_radial(cfg, out, dim, V, starts):
                        [(np.full(s.n, s.time), np.arange(s.n, dtype=float),
                          s.cell_masses, s.radii, s.densities) for s in snaps])
         artifacts += [f"series{suffix}.csv", f"snapshots{suffix}.csv"]
-        run_info = {"n_final": final.n, "support": support_radius(final),
+        run_info = {"n_final": final.n, "support": float(series.support[-1]),
                     "energy": float(series.energy[-1])}
         if steady is not None:
-            run_info["l1_to_steady"] = l1_to_steady(final, steady)
-            bound = 2.0 * max(support_radius(snaps[0]), steady.R_inf)
+            run_info["l1_to_steady"] = float(series.l1_dist[-1])
+            bound = 2.0 * max(float(series.support[0]), steady.R_inf)
             run_info["support_bound"] = bound
-            run_info["support_bounded"] = bool(
-                max(support_radius(s) for s in snaps) <= bound)
+            run_info["support_bounded"] = bool(np.max(series.support) <= bound)
         summary[f"run{suffix}"] = run_info
         if cfg.rate_quantities:
             artifacts += _rate_fits(cfg, series, dim, out, summary, suffix)
@@ -673,7 +671,9 @@ def _read_inputs(cfg):
         series = _load_input(src, DiagnosticSeries.from_csv)
         # the series records the dimension it was run in; the config's is a fallback
         d = series.params.get("d", cfg.dimension)
-        return {"dim": Dimension(d) if d else None, "src": src, "series": series}
+        dim = Dimension(d) if d else None
+        _check_window((cfg.window_lo, cfg.window_hi), series.times[0], series.times[-1])
+        return {"dim": dim, "src": src, "series": series}
     dim = Dimension(cfg.dimension)
     # every other mode runs under a confinement V or an attraction kernel W
     if cfg.mode == "attract_steady" or (cfg.mode == "simulate_particles"
@@ -682,6 +682,8 @@ def _read_inputs(cfg):
     else:
         inputs = {"dim": dim, "V": build_confinement(cfg)}
     if cfg.mode == "simulate_radial":
+        if cfg.rate_quantities:
+            _check_window((cfg.window_lo, cfg.window_hi), 0.0, cfg.t_end)
         specs = [("", cfg.rho0)] + ([("_alt", cfg.rho0_alt)] if cfg.rho0_alt else [])
         inputs["starts"] = [
             (suffix, init_lagrangian(build_density(spec, dim, cfg.m0), cfg.n_quantiles,
@@ -739,7 +741,7 @@ def _resolve_config(args):
                           reason="invalid solver config")
     if args.config:
         cfg = config_from_ini(args.config)
-        sha = hashlib.sha256(open(args.config, "rb").read()).hexdigest()
+        sha = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     elif args.recipe:
         cfg = recipe(args.recipe)
         sha = None

@@ -234,6 +234,14 @@ def _loglog_slope(t, v):
     return -slope, r2
 
 
+def _check_window(window, t_first, t_last):
+    """A fit window is a nonempty interval in [t_first, t_last], 1e-12 slack."""
+    t_a, t_b = window
+    if t_a < t_first - 1e-12 or t_b > t_last + 1e-12 or t_a >= t_b:
+        raise ConfigError(f"window [{t_a}, {t_b}] outside series range",
+                          reason="window error")
+
+
 def fit_rate(series, quantity, window, gamma_target=None, dim=None,
              min_samples=20):
     """Fit log(value) against log(1+t) and report gamma_hat = -slope.
@@ -249,9 +257,7 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
         raise ConfigError(f"unknown rate quantity {quantity!r}", reason="invalid solver config")
     t_a, t_b = window
     times = series.times
-    if t_a < times[0] - 1e-12 or t_b > times[-1] + 1e-12 or t_a >= t_b:
-        raise ConfigError(f"window [{t_a}, {t_b}] outside series range",
-                          reason="window error")
+    _check_window(window, times[0], times[-1])
     mask = (times >= t_a) & (times <= t_b)
     t = times[mask]
     v = np.asarray(picks[quantity])[mask]

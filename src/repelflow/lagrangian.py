@@ -19,7 +19,7 @@ import numpy as np
 from ._cubic import pchip
 from .density import RadialDensity, _cumulative_mass
 from .errors import ConfigError, ResolutionWarning, StiffnessError
-from .steady import _mass_radii
+from .steady import _mass_radii, _radial_velocity
 
 __all__ = [
     "LagrangianState",
@@ -80,6 +80,36 @@ def _check_rk_order(order, setting="rk_order"):
     """The explicit Runge-Kutta orders both solvers take: 2 and 4."""
     if order not in (2, 4):
         raise ConfigError(f"{setting} must be 2 or 4", reason="invalid solver config")
+
+
+def _rk(f, y, dt, order, k1=None):
+    """One explicit Runge-Kutta step of y' = f(y): the midpoint rule for
+    order 2, the classical four-stage rule for order 4.  k1 is f(y) when
+    the caller already has it."""
+    if k1 is None:
+        k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    if order == 2:
+        return y + dt * k2
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _march(state, t_end, stride, advance):
+    """Run ``advance(state, remaining)``, one step of at most ``remaining``,
+    until t_end is within 1e-12.  Returns (final state, snapshots): the
+    start, every stride-th step and the end."""
+    snapshots = [state]
+    steps = 0
+    while state.time < t_end - 1e-12:
+        state = advance(state, t_end - state.time)
+        steps += 1
+        if steps % stride == 0:
+            snapshots.append(state)
+    if snapshots[-1] is not state:
+        snapshots.append(state)
+    return state, snapshots
 
 
 @dataclass(frozen=True)
@@ -147,15 +177,10 @@ def rhs(state, V_eff):
 
 def _velocities(R, rho, m, dim, m0, V_eff):
     """rhs at radii R and densities rho, with the enclosed masses m given."""
-    d = dim.d
-    if d >= 2 and np.any(R <= 0.0):
+    if dim.d >= 2 and np.any(R <= 0.0):
         raise _StepReject("quantile radius hit the origin")
-    if d == 1:
-        dR = (m - 0.5 * m0) - V_eff.slope(R)
-    else:
-        dR = m / (dim.sphere_area * R ** (d - 1)) - V_eff.slope(R)
-    lap = V_eff.laplacian(R, dim)
-    drho = rho * (lap - rho)
+    dR = _radial_velocity(m, m0, V_eff, dim, R)
+    drho = rho * (V_eff.laplacian(R, dim) - rho)
     return dR, drho
 
 
@@ -164,24 +189,13 @@ def _try_rk(state, V_eff, dt, order):
     # the cell masses are fixed within a step: one prefix sum serves every stage
     m = state.quantiles
 
-    def f(radii, dens):
-        return _velocities(radii, dens, m, state.dim, state.m0, V_eff)
+    def f(y):
+        return np.array(_velocities(y[0], y[1], m, state.dim, state.m0, V_eff))
 
-    R0, p0 = state.radii, state.densities
-    k1R, k1p = f(R0, p0)
-    if order == 2:
-        k2R, k2p = f(R0 + 0.5 * dt * k1R, p0 + 0.5 * dt * k1p)
-        R1 = R0 + dt * k2R
-        p1 = p0 + dt * k2p
-    else:
-        k2R, k2p = f(R0 + 0.5 * dt * k1R, p0 + 0.5 * dt * k1p)
-        k3R, k3p = f(R0 + 0.5 * dt * k2R, p0 + 0.5 * dt * k2p)
-        k4R, k4p = f(R0 + dt * k3R, p0 + dt * k3p)
-        R1 = R0 + dt / 6.0 * (k1R + 2 * k2R + 2 * k3R + k4R)
-        p1 = p0 + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    if not (np.all(np.isfinite(R1)) and np.all(np.isfinite(p1))):
+    y1 = _rk(f, np.array([state.radii, state.densities]), dt, order)
+    if not np.all(np.isfinite(y1)):
         raise _StepReject("non-finite state")
-    return R1, p1
+    return y1[0], y1[1]
 
 
 def _default_density_cap(state, V_eff):
@@ -194,12 +208,12 @@ def _default_density_cap(state, V_eff):
 
 
 def step(state, V_eff, config, dt_cap=None):
-    """Advance by one accepted step of the adaptive RK integrator.
+    """Advance by one accepted ``_rk`` step of the radii and densities.
 
-    A trial step is rejected, and dt halved, for any of four reasons:
-    a radius at or past the origin (d >= 2, at a stage or at the end), a
-    non-finite stage result, a carried density outside (0, density_cap],
-    or quantile ordering violated.  The exact flow never crosses
+    A trial of dt (at most dt_cap) is rejected, and dt halved, for any of
+    four reasons: a radius at or past the origin (d >= 2, at a stage or at
+    the end), a non-finite stage result, a carried density outside
+    (0, density_cap], or quantile ordering violated.  The exact flow never crosses
     characteristics, so a crossing is a step-size artifact and the cell
     masses never change.  Below dt_min a rejection raises StiffnessError.
     Ten consecutive accepts double dt up to dt_max.
@@ -239,27 +253,18 @@ def evolve(state, V_eff, config):
     """Run to t_end, collecting snapshots every snapshot_stride accepts.
 
     ``V_eff`` is a RadialPotential, or a callable state -> RadialPotential
-    for self-consistent fields refreshed once per accepted step.
+    for a self-consistent field, refreshed at the start of every step.
     Returns (final_state, snapshots); snapshots include t=0 and t_end.
     """
-    refresh = V_eff if callable(V_eff) and not hasattr(V_eff, "slope") else None
-    pot = refresh(state) if refresh else V_eff
+    field = V_eff if callable(V_eff) and not hasattr(V_eff, "slope") else lambda s: V_eff
     if config.density_cap is None:
-        config = replace(config, density_cap=_default_density_cap(state, pot))
+        config = replace(config, density_cap=_default_density_cap(state, field(state)))
     state = replace(state, dt=min(config.dt_init, config.dt_max))
-    snapshots = [state]
-    accepted = 0
-    while state.time < config.t_end - 1e-12:
-        remaining = config.t_end - state.time
-        state = step(state, pot, config, dt_cap=remaining)
-        accepted += 1
-        if accepted % config.snapshot_stride == 0:
-            snapshots.append(state)
-        if refresh is not None:
-            pot = refresh(state)
-    if snapshots[-1] is not state:
-        snapshots.append(state)
-    return state, snapshots
+
+    def advance(state, remaining):
+        return step(state, field(state), config, dt_cap=remaining)
+
+    return _march(state, config.t_end, config.snapshot_stride, advance)
 
 
 def support_radius(state):

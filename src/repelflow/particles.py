@@ -27,7 +27,7 @@ import numpy as np
 
 from ._table import read_table, write_table
 from .errors import ConfigError, DivergenceError, ResolutionWarning, StiffnessError
-from .lagrangian import DT_MIN, _check_rk_order
+from .lagrangian import DT_MIN, _check_rk_order, _march, _rk
 from .steady import bisect
 
 __all__ = [
@@ -83,7 +83,7 @@ def default_regularization(m0, N, dim, rho_ref):
     return 0.5 * (m0 / (N * rho_ref)) ** (1.0 / dim.d)
 
 
-def sample_radial(density, N, rng, rho_ref=None):
+def sample_radial(density, N, rng, rho_ref):
     """Stratified sampling of a radial profile: inverse-CDF radii at the
     quantile midpoints (i - 1/2)/N, independent random angles."""
     dim = density.dim
@@ -106,8 +106,6 @@ def sample_radial(density, N, rng, rho_ref=None):
         vec = rng.normal(size=(N, 3))
         vec /= np.linalg.norm(vec, axis=1, keepdims=True)
         pos = radii[:, None] * vec
-    if rho_ref is None:
-        rho_ref = float(np.max(density.values))
     delta = default_regularization(m0, N, dim, rho_ref)
     cloud = ParticleCloud(positions=pos, weights=np.full(N, m0 / N),
                           delta_reg=delta, dim=dim)
@@ -210,20 +208,14 @@ def velocity_field(cloud, V=None, W=None):
 
 
 def advance(cloud, dt, V=None, W=None, rk_order=2, k1=None):
-    """One explicit RK step of size dt; weights untouched."""
+    """One ``_rk`` step of size dt of the positions, k1 their velocities if
+    known; weights untouched.  |x| > 1e6 raises DivergenceError."""
     _check_rk_order(rk_order)
-    pos = cloud.positions
-    if k1 is None:
-        k1 = velocity_field(cloud, V=V, W=W)
-    if rk_order == 2:
-        mid = replace(cloud, positions=pos + 0.5 * dt * k1)
-        k = velocity_field(mid, V=V, W=W)
-        new_pos = pos + dt * k
-    else:
-        k2 = velocity_field(replace(cloud, positions=pos + 0.5 * dt * k1), V=V, W=W)
-        k3 = velocity_field(replace(cloud, positions=pos + 0.5 * dt * k2), V=V, W=W)
-        k4 = velocity_field(replace(cloud, positions=pos + dt * k3), V=V, W=W)
-        new_pos = pos + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def f(pos):
+        return velocity_field(replace(cloud, positions=pos), V=V, W=W)
+
+    new_pos = _rk(f, cloud.positions, dt, rk_order, k1)
     if np.max(np.abs(new_pos)) > 1e6:
         raise DivergenceError(f"particle left |x| <= 1e6 at t={cloud.time:g}",
                               reason="trajectory divergence")
@@ -234,7 +226,8 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
                   rk_order=2, snapshot_stride=10):
     """Advance to t_end with dt capped so max |u| dt <= safety * delta_reg.
 
-    Returns (final cloud, snapshots); snapshots include t = 0 and t_end.
+    Each step is one ``advance`` from the velocities that set its dt.
+    Returns (final cloud, snapshots) at t = 0, every snapshot_stride-th step and t_end.
     A cap below DT_MIN raises StiffnessError, as no run could end.
     """
     if not (dt_max > 0.0 and safety > 0.0):
@@ -243,23 +236,17 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
     if snapshot_stride < 1:
         raise ConfigError("snapshot_stride must be at least 1",
                           reason="invalid solver config")
-    snapshots = [cloud]
-    steps = 0
-    while cloud.time < t_end - 1e-12:
+
+    def one_step(cloud, remaining):
         k1 = velocity_field(cloud, V=V, W=W)
         vmax = float(np.max(np.linalg.norm(k1, axis=1)))
         dt = dt_max if vmax == 0.0 else min(dt_max, safety * cloud.delta_reg / vmax)
         if dt < DT_MIN:
             raise StiffnessError(f"particle dt fell below {DT_MIN:g} at t={cloud.time:g}",
                                  reason="dt underflow")
-        dt = min(dt, t_end - cloud.time)
-        cloud = advance(cloud, dt, V=V, W=W, rk_order=rk_order, k1=k1)
-        steps += 1
-        if steps % snapshot_stride == 0:
-            snapshots.append(cloud)
-    if snapshots[-1] is not cloud:
-        snapshots.append(cloud)
-    return cloud, snapshots
+        return advance(cloud, min(dt, remaining), V=V, W=W, rk_order=rk_order, k1=k1)
+
+    return _march(cloud, t_end, snapshot_stride, one_step)
 
 
 def discrete_energy(cloud, V=None, W=None):

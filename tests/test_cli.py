@@ -138,7 +138,8 @@ kind = quartic
 """)
     assert main(["steady", "--config", ini, "--out", str(tmp_path / "o")]) == 0
     st = build_steady_state(quartic(), Dimension(1), m0)
-    assert verify_steady(st, quartic()).passed
+    # V'(R) = m0/2 at the edge
+    assert verify_steady(st, quartic(), tol=1e-8 * max(1.0, m0 / 2)).passed
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
@@ -772,6 +773,17 @@ window_hi = 50.0
     rc = main(["rates", "--config", ini, "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "reason: window error" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_a_radial_window_past_t_end_exits_2_before_the_solve(tmp_path, capsys):
+    # the default window [1, 10] reaches past t_end = 0.5, which no solve can change
+    text = RADIAL_INI.replace("t_end = 1.0", "t_end = 0.5") + "\n[rates]\nquantity = l1\n"
+    out = tmp_path / "f"
+    assert main(["simulate_radial", "--config", _write_ini(tmp_path / "w.ini", text),
+                 "--out", str(out)]) == 2
+    assert "reason: window error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rates_nonpositive_values_exit_3(tmp_path, capsys):
@@ -880,6 +892,15 @@ dt_init = 0.01
 t_end = 1.0
 snapshot_stride = 10
 """
+
+
+def test_a_config_file_is_closed_after_reading(tmp_path):
+    # hashing the config file must close it
+    ini = _write_ini(tmp_path / "r.ini", RADIAL_INI.replace("t_end = 1.0", "t_end = 0.1"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["simulate_radial", "--config", ini, "--out", str(tmp_path / "o")]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_radial_run_is_deterministic(tmp_path):

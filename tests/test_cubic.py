@@ -132,7 +132,7 @@ for d in (2, 3):
 r = np.linspace(0.0, 2.0, 16)
 rf.table_potential(r, 0.5 * r * r, r, np.ones_like(r)).value(0.7)
 print("radial", loaded())
-cloud = rf.sample_radial(rho0, 50, 0)
+cloud = rf.sample_radial(rho0, 50, 0, rho_ref=float(max(rho0.values)))
 rf.velocity_field(cloud, V=V)
 print("particles", loaded())
 """

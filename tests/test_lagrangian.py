@@ -14,7 +14,7 @@ from repelflow import (Dimension, uniform_ball, annulus, line_interval,
                        dissipation)
 from repelflow._cubic import pchip
 from repelflow.density import RadialDensity
-from repelflow.lagrangian import LagrangianState, rhs, step, _mass_matched_edges
+from repelflow.lagrangian import LagrangianState, rhs, step, _mass_matched_edges, _rk
 from repelflow.errors import ConfigError, StiffnessError
 
 
@@ -68,6 +68,23 @@ def test_single_step_matches_exact_flow():
                     * math.exp(-2 * out.time))
     assert out.time == pytest.approx(0.05, abs=1e-15)
     assert np.allclose(out.radii, exact, atol=1e-8)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_rk_step_is_the_taylor_polynomial_of_its_order(order):
+    # on y' = lam y one step multiplies y by sum_{k <= order} z^k / k!, z = lam dt
+    lam = np.array([-3.0, -0.7, 0.2, 1.5])
+    y = np.array([1.0, -2.0, 0.5, 3.0])
+    dt = 0.4
+    z = lam * dt
+    taylor = sum(z ** k / math.factorial(k) for k in range(order + 1))
+
+    def f(v):
+        return lam * v
+
+    got = _rk(f, y, dt, order)
+    assert np.allclose(got, taylor * y, rtol=1e-14, atol=0.0)
+    assert np.array_equal(_rk(f, y, dt, order, k1=f(y)), got)
 
 
 def test_relaxation_to_steady_profile():

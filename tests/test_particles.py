@@ -166,7 +166,7 @@ def test_sample_radial_quantile_radii():
     d2 = Dimension(2)
     steady = build_steady_state(quadratic(), d2, 2 * math.pi)
     rng = np.random.default_rng(0)
-    cloud = sample_radial(steady.density, 500, rng)
+    cloud = sample_radial(steady.density, 500, rng, rho_ref=2.0)
     radii = np.sort(np.linalg.norm(cloud.positions, axis=1))
     # deterministic stratified radii: M(r_i) = (i - 1/2) m0 / N, M = 2 pi r^2
     expect = np.sqrt((np.arange(1, 501) - 0.5) / 500.0)
@@ -211,7 +211,7 @@ def test_coincident_pairs_counted_once(monkeypatch):
 def test_sample_radial_needs_a_particle():
     steady = build_steady_state(quadratic(), Dimension(2), 2 * math.pi)
     with pytest.raises(ConfigError):
-        sample_radial(steady.density, 0, np.random.default_rng(0))
+        sample_radial(steady.density, 0, np.random.default_rng(0), rho_ref=2.0)
 
 
 def test_divergence_guard():
@@ -241,7 +241,7 @@ def test_cloud_roundtrip(tmp_path):
 def test_support_radius_estimate():
     d2 = Dimension(2)
     steady = build_steady_state(quadratic(), d2, 2 * math.pi)
-    cloud = sample_radial(steady.density, 2000, np.random.default_rng(1))
+    cloud = sample_radial(steady.density, 2000, np.random.default_rng(1), rho_ref=2.0)
     assert cloud_support_radius(cloud) == pytest.approx(1.0, abs=2e-2)
 
 

@@ -18,21 +18,21 @@ def test_quadratic_disk():
     st = build_steady_state(quadratic(), Dimension(2), 2 * math.pi)
     assert st.R_inf == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(st.density.values, 2.0, atol=1e-6)
-    assert verify_steady(st, quadratic()).passed
+    assert verify_steady(st, quadratic(), tol=1e-8).passed
 
 
 def test_quadratic_ball():
     st = build_steady_state(quadratic(), Dimension(3), 4 * math.pi)
     assert st.R_inf == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(st.density.values, 3.0, atol=1e-6)
-    assert verify_steady(st, quadratic()).passed
+    assert verify_steady(st, quadratic(), tol=1e-8).passed
 
 
 def test_quartic_disk_profile():
     st = build_steady_state(quartic(), Dimension(2), 2 * math.pi)
     assert st.R_inf == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(st.density.values, 4.0 * st.density.grid ** 2, atol=1e-6)
-    assert verify_steady(st, quartic()).passed
+    assert verify_steady(st, quartic(), tol=1e-8).passed
 
 
 def test_mass_equation_scaling():
@@ -93,7 +93,7 @@ def test_line_interval_steady():
     st = build_steady_state(quadratic(), Dimension(1), 1.0)
     assert st.R_inf == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(st.density.values, 1.0, atol=1e-8)
-    assert verify_steady(st, quadratic()).passed
+    assert verify_steady(st, quadratic(), tol=1e-8).passed
 
 
 def test_bisect_ends_on_adjacent_floats_split_by_the_predicate():
@@ -137,6 +137,6 @@ def test_steady_quantile_radii_pinned(d, digest):
 
 
 def test_sample_radial_cloud_pinned():
-    cloud = sample_radial(annulus(Dimension(3), 1.0, 1.0, 2.0), 1000, 7)
+    cloud = sample_radial(annulus(Dimension(3), 1.0, 1.0, 2.0), 1000, 7, rho_ref=1.0)
     digest = hashlib.sha256(cloud.positions.tobytes()).hexdigest()
     assert digest == "88c85deaac19ef64c9fa95e14c19afce67991ffa781c9f40766bc0e2863896df"
