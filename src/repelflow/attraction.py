@@ -17,8 +17,14 @@ density's radii s.  K of a smooth kernel is analytic, hence numerically low
 rank: ``_convolution``, one operator per kernel and density, reads it from a
 p x p Chebyshev-Lobatto grid whose half-node interpolant certifies it (w = 0
 at p = 17, with C = 0), and evaluates it at every (r, s) pair only when no
-grid up to p = 257 certifies.  The shell sums of
-``effective_attraction_potential`` evaluate K pointwise (``_sphere_mean``).
+grid up to p = 257 certifies.  The fixed point certifies its Lap w grid
+once, on [0, 2 R_bar] x [0, R_bar] with R_bar = omega_d^(-1/d) (1 - eps)^(-1/d)
+the closing estimate of ``check_smallness``: every iterate has mass m0 and
+density m0 + Lap w * rho >= m0 (1 - eps), so its radius is at most R_bar.
+A density beyond the kept box (eps >= 1, or a declared eps below
+sup |Lap w|) certifies a grid on its own box, which is kept from then on.
+The shell sums of ``effective_attraction_potential`` evaluate K pointwise
+(``_sphere_mean``).
 """
 
 import functools
@@ -59,6 +65,10 @@ _LOBATTO_SIZES = (17, 33, 65, 129, 257)
 # a grid is certified when the interpolant on its every other node reproduces
 # it at all nodes to this fraction of its largest value
 _CERTIFY_TOL = 1e-13
+# a density whose radius exceeds the fixed point's kept Lap w box by no more
+# than this fraction reads that box's grid: at w = 0 the radius is R_bar
+# itself, up to the rounding of its bisection
+_BOX_SLACK = 1e-12
 # elements per (rows, len(s), 64) array of a blocked kernel evaluation
 _BLOCK_ELEMENTS = 2 ** 15
 # fewest knots of the fixed-point grid: its field table of 2 n_grid - 1 radii needs 4
@@ -191,13 +201,15 @@ def _lowrank_kernel(f, dim, r_hi, s_hi):
     return None
 
 
-def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True):
+def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True, kernel_grid=None):
     """``spherical_mean_convolve`` as an operator r -> (f * rho)(r), r in [0, r_hi].
 
-    The kernel grid is certified once; on the low-rank path the s-integral
-    folds into p node values sigma_d C simpson(weight B_s^T, s), so any set
-    of radii costs one barycentric product.  ``refine_check`` False skips
-    the s-grid doubling.
+    ``kernel_grid(f, dim, r_hi, s_hi)`` gives the kernel grid, certified on
+    a box that holds [0, r_hi] x [0, s_hi], or None when none certifies
+    there; by default ``_lowrank_kernel`` certifies one on exactly that box.
+    On the low-rank path the s-integral folds into p node values
+    sigma_d C simpson(weight B_s^T, s), so any set of radii costs one
+    barycentric product.  ``refine_check`` False skips the s-grid doubling.
     """
     if dim.d < 2:
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
@@ -208,7 +220,7 @@ def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True):
     s_grids = [np.linspace(0.0, s_hi, n)
                for n in ((n_s, 2 * n_s - 1) if refine_check else (n_s,))]
     weights = [rho(s) * s ** (dim.d - 1) for s in s_grids]
-    kernel = _lowrank_kernel(f, dim, r_hi, s_hi)
+    kernel = (kernel_grid or _lowrank_kernel)(f, dim, r_hi, s_hi)
     if kernel is None:
         mean = _sphere_mean((f,), dim, r_hi + s_hi)
 
@@ -363,7 +375,7 @@ def _radius_from_laplacian(grid, lap_vals, dim, m0):
     return float(0.5 * (lo + hi))
 
 
-def _field_tables(grid, lap_vals, dim, m0_quad):
+def _field_tables(grid, lap_vals, dim):
     """Slope and curvature of a radial field from its Laplacian values.
 
     Uses r^(d-1) V'(r) = int_0^r Lap V s^(d-1) ds and
@@ -400,6 +412,16 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     Returns (SteadyState, SelfConsistentField).  The final velocity check
     recomputes the convolution from the converged density from scratch, so
     it is not a tautology of the iteration's own bookkeeping.
+
+    Every density the iteration builds has mass m0, and since
+    |Lap w| <= eps its values m0 + Lap w * rho are at least m0 (1 - eps): its
+    radius is at most R_bar = omega_d^(-1/d) (1 - eps)^(-1/d), the
+    ``R_inf`` estimate of ``check_smallness``.  So one Lap w grid, certified
+    on [0, 2 R_bar] x [0, R_bar], serves every iteration's operator and the
+    converged field's; with the w grid of the energy a solve certifies two.
+    A density reaching past the kept box by more than rounding (eps >= 1,
+    where R_bar is infinite, or a declared eps below sup |Lap w|) certifies
+    a grid on its own box [0, 2 R_k] x [0, R_k], which is kept instead.
     """
     if n_grid < MIN_GRID:
         raise ConfigError(f"n_grid must be at least {MIN_GRID}",
@@ -407,10 +429,20 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     if max_iter < 1 or not tol > 0.0:
         raise ConfigError(f"need tol > 0 and max_iter >= 1, got {tol!r} and {max_iter!r}",
                           reason="invalid solver config")
-    _smallness_gate(W, dim, allow_unproven)
+    R_bar = _smallness_gate(W, dim, allow_unproven).R_inf
 
     def dw(r):
         return W.perturbation.laplacian(r, dim)
+
+    side, grid = 0.0, None      # the kept Lap w grid, on [0, 2 side] x [0, side]
+
+    def lap_w_grid(f, dim, r_hi, s_hi):
+        nonlocal side, grid
+        reach = max(0.5 * r_hi, s_hi)
+        if reach > side * (1.0 + _BOX_SLACK):
+            side = R_bar if reach <= R_bar < np.inf else reach
+            grid = _lowrank_kernel(f, dim, 2.0 * side, side)
+        return grid
 
     R = dim.ball_volume ** (-1.0 / dim.d) * 1.0
     # w = 0 closed form: rho = m0 on the ball of unit volume scaled by mass
@@ -423,7 +455,8 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     converged = False
 
     for _ in range(max_iter):
-        lap_w = _convolution(dw, rho, dim, 2.0 * rho.support_radius, refine_check=False)
+        lap_w = _convolution(dw, rho, dim, 2.0 * rho.support_radius,
+                             refine_check=False, kernel_grid=lap_w_grid)
         search = np.linspace(0.0, 2.0 * rho.support_radius, 2 * n_grid - 1)
         R_new = _radius_from_laplacian(search, m0 + lap_w(search), dim, m0)
         grid_new = np.linspace(0.0, R_new, n_grid)
@@ -455,8 +488,9 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     # fresh field from the converged density, for the honest velocity check;
     # its knots begin with the density's grid, where E_inf reads the field
     field_grid = np.concatenate([rho.grid, R_inf + rho.grid[1:]])
-    lap_field = m0 + _convolution(dw, rho, dim, 2.0 * R_inf)(field_grid)
-    slope, second = _field_tables(field_grid, lap_field, dim, m0)
+    lap_field = m0 + _convolution(dw, rho, dim, 2.0 * R_inf,
+                                  kernel_grid=lap_w_grid)(field_grid)
+    slope, second = _field_tables(field_grid, lap_field, dim)
     value, E_inf = _field_and_energy(rho, W, field_grid)
     V_tilde = table_potential(field_grid, value, slope, second, name="attraction field")
 
@@ -500,5 +534,5 @@ def effective_attraction_potential(state, W, n_grid=48):
     lap_shells, val_shells = mean(grid[:, None], R[None, :])
     lap = m0 + lap_shells @ m
     value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + val_shells @ m
-    slope, second = _field_tables(grid, lap, dim, m0)
+    slope, second = _field_tables(grid, lap, dim)
     return table_potential(grid, value, slope, second, name="attraction field")

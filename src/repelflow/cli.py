@@ -364,12 +364,19 @@ def config_from_ini(path):
 
 
 def config_to_ini(cfg, path):
-    """Write every field of the config; reading the file back replays the run."""
-    cp = configparser.ConfigParser(interpolation=None)
-    for section, values in _ini_entries(cfg):
-        cp[section] = {key: _ini_value(value) for key, value in values.items()}
+    """Write every field of the config; reading the file back replays the run.
+
+    The text is what ``ConfigParser.write`` gives: per section a ``[section]``
+    line, one ``key = value`` line per key and a blank line; a line break
+    in a value continues it on an indented line.
+    """
     with open(path, "w") as fh:
-        cp.write(fh)
+        for section, values in _ini_entries(cfg):
+            fh.write(f"[{section}]\n")
+            for key, value in values.items():
+                text = _ini_value(value).replace("\n", "\n\t")
+                fh.write(f"{key} = {text}\n")
+            fh.write("\n")
 
 
 # -- recipes -----------------------------------------------------------------
@@ -719,7 +726,9 @@ def run(cfg, config_sha=None):
 
 # -- entry point -------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="repelflow",
         description="Steady states, relaxation dynamics, and rate fits "

@@ -257,12 +257,15 @@ def evolve(state, V_eff, config):
     Returns (final_state, snapshots); snapshots include t=0 and t_end.
     """
     field = V_eff if callable(V_eff) and not hasattr(V_eff, "slope") else lambda s: V_eff
+    # the start state's field sets the default cap and drives the first step
+    pending = [field(state)]
     if config.density_cap is None:
-        config = replace(config, density_cap=_default_density_cap(state, field(state)))
+        config = replace(config, density_cap=_default_density_cap(state, pending[0]))
     state = replace(state, dt=min(config.dt_init, config.dt_max))
 
     def advance(state, remaining):
-        return step(state, field(state), config, dt_cap=remaining)
+        V = pending.pop() if pending else field(state)
+        return step(state, V, config, dt_cap=remaining)
 
     return _march(state, config.t_end, config.snapshot_stride, advance)
 

@@ -13,7 +13,8 @@ from repelflow import (Dimension, uniform_ball, AttractionPotential,
 from repelflow import attraction
 from repelflow.attraction import (_barycentric, _convolution, _field_and_energy,
                                   _lobatto, _lowrank_kernel, _sphere_mean)
-from repelflow.errors import ConfigError, ResolutionError, ResolutionWarning
+from repelflow.errors import (ConfigError, NumericsError, ResolutionError,
+                              ResolutionWarning)
 
 
 def test_convolution_of_constant_is_total_mass():
@@ -270,21 +271,120 @@ def test_bump_fixed_point_d3_pinned():
     assert np.allclose(field.residual_history, expect, rtol=0.0, atol=1e-10)
 
 
-def test_one_kernel_grid_per_operator(monkeypatch):
-    # one Lap w operator per iteration, then one Lap w and one w operator for
-    # the converged field, whose knots E_inf reuses
+def _count_grids(monkeypatch):
+    """Record the (f, dim, r_hi, s_hi) of every kernel grid certified."""
     built = []
     lowrank = attraction._lowrank_kernel
     monkeypatch.setattr(attraction, "_lowrank_kernel",
                         lambda *args: built.append(args) or lowrank(*args))
+    return built
+
+
+def test_one_kernel_grid_per_operator(monkeypatch):
+    # one Lap w grid for every iteration and the converged field, on the
+    # a-priori box, then one w grid for the field's values, whose knots
+    # E_inf reuses
+    built = _count_grids(monkeypatch)
     d3 = Dimension(3)
     W = AttractionPotential.gaussian_bump(d3, 0.01)
     with pytest.warns(ResolutionWarning):
         st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
                                             allow_unproven=True)
-    assert len(built) == field.iteration + 2
+    assert field.iteration == 4
+    assert len(built) == 2
+    R_bar = check_smallness(0.01, d3).R_inf
+    assert built[0][2:] == (2.0 * R_bar, R_bar)
     energy = _field_and_energy(st.density, W, st.density.grid)[1]
     assert st.E_inf == pytest.approx(energy, rel=1e-14)
+
+
+@pytest.mark.parametrize("eps, sign, R_inf, iterations", [
+    (0.3, 1, 0.6091810053198761, 8),
+    (0.3, -1, 0.6303270766309159, 8),
+    (0.9, 1, 0.5833809571982835, 11),
+    (0.9, -1, 0.6469328336518367, 13),
+])
+def test_one_grid_box_keeps_the_per_iterate_results(monkeypatch, eps, sign,
+                                                    R_inf, iterations):
+    # R_inf and the iteration count of grids certified per iterate, on
+    # [0, 2 R_k] x [0, R_k]: the box [0, 2 R_bar] x [0, R_bar] gives the
+    # same bits, but for 2 ulps at eps = 0.9 with sign 1
+    built = _count_grids(monkeypatch)
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, eps, sign=sign)
+    with pytest.warns(ResolutionWarning):
+        st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
+                                            allow_unproven=True)
+    assert field.iteration == iterations
+    assert abs(st.R_inf - R_inf) <= 2.0 * np.spacing(R_inf)
+    assert len(built) == 2
+    assert max(field.radius_history) < check_smallness(eps, d3).R_inf
+
+
+@pytest.mark.parametrize("d, m0", [(2, 1.0), (3, 1.0), (3, 4 * math.pi)])
+def test_unperturbed_solve_certifies_one_lap_w_grid(monkeypatch, d, m0):
+    # R_bar is the exact radius at w = 0; the bisected R_inf lands an ulp
+    # above it at m0 = 1 and reads the same grid
+    built = _count_grids(monkeypatch)
+    dim = Dimension(d)
+    st, _ = solve_attraction_steady(AttractionPotential(dim), dim, m0, n_grid=129)
+    R_bar = check_smallness(0.0, dim).R_inf
+    assert abs(st.R_inf - R_bar) <= np.spacing(R_bar)
+    assert len(built) == 2
+    assert built[0][2:] == (2.0 * R_bar, R_bar)
+
+
+def _lap_w_sides(built):
+    """The s side of every Lap w grid: all grids but the last, the w grid."""
+    return [args[3] for args in built[:-1]]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_eps_past_one_certifies_only_when_a_density_leaves_the_box(monkeypatch, sign):
+    # R_bar is infinite: the first density's own box is kept, and a later
+    # density certifies a grid only when it reaches past the box kept so far
+    built = _count_grids(monkeypatch)
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 1.5, sign=sign)
+    with pytest.warns(ResolutionWarning):
+        st, field = solve_attraction_steady(W, d3, 1.0, n_grid=129,
+                                            allow_unproven=True)
+    assert field.residual <= 1e-9
+    radii = list(field.radius_history)
+    sides = [radii[0]]
+    for R in radii[1:]:
+        if R > sides[-1]:
+            sides.append(R)
+    assert _lap_w_sides(built) == sides
+    assert [args[2] for args in built[:-1]] == [2.0 * side for side in sides]
+    # the attracting bump only shrinks the support; the repelling one
+    # overshoots once, at the first iterate
+    assert sides == ([radii[0]] if sign == 1 else radii[:2])
+
+
+def test_an_understated_eps_certifies_a_grid_for_a_density_past_its_box(monkeypatch):
+    d3 = Dimension(3)
+    bump = AttractionPotential.gaussian_bump(d3, 0.9, sign=-1).perturbation
+    # declared 0.5 for a sup |Lap w| of 0.9: every iterate still fits the box
+    built = _count_grids(monkeypatch)
+    with pytest.warns(ResolutionWarning):
+        st, field = solve_attraction_steady(AttractionPotential(d3, bump, epsilon=0.5),
+                                            d3, 1.0, n_grid=129, allow_unproven=True)
+    assert len(built) == 2
+    assert _lap_w_sides(built) == [check_smallness(0.5, d3).R_inf]
+    # declared 0.01 for a sup of 0.3: the first iterate (radius 0.6309) is
+    # past R_bar = 0.6224 and certifies its own box, which the iterates after
+    # it fit; the converged profile then leaves the m0 (1 +- eps) band
+    built.clear()
+    bump = AttractionPotential.gaussian_bump(d3, 0.3, sign=-1).perturbation
+    with pytest.warns(ResolutionWarning), pytest.raises(NumericsError):
+        solve_attraction_steady(AttractionPotential(d3, bump, epsilon=0.01),
+                                d3, 1.0, n_grid=129, allow_unproven=True)
+    R_bar = check_smallness(0.01, d3).R_inf
+    sides = [args[3] for args in built]
+    assert len(sides) == 2 and sides[0] == R_bar
+    assert sides[1] == pytest.approx(0.6308704905593265, abs=1e-12)
+    assert built[1][2] == 2.0 * sides[1]
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0}])

@@ -1,6 +1,8 @@
 """Experiment harness: config round trip, exit codes, artifacts, determinism."""
 
+import configparser
 import contextlib
+import gc
 import importlib.metadata
 import io
 import json
@@ -19,7 +21,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
-                           RHO0_KINDS, RHO0_KEYS, main)
+                           RHO0_KINDS, RHO0_KEYS, main, _build_parser,
+                           _ini_entries, _ini_value)
 from repelflow._table import _CSV_BLOCK_ROWS, read_table, write_table
 from repelflow import (AttractionPotential, Dimension, ParticleCloud,
                        build_steady_state, load_cloud, newtonian_radial_potential,
@@ -483,8 +486,8 @@ def test_bad_attraction_settings_exit_2(tmp_path, capsys, mode, lines, message):
 
 
 def test_attract_steady_reuses_the_solver_field(tmp_path, monkeypatch):
-    # the run builds the solver's kernel grids and no more, and steady.csv
-    # phi is Phi_N plus the converged field at the density's grid
+    # the run builds the solver's two kernel grids (Lap w and w) and no more,
+    # and steady.csv phi is Phi_N plus the converged field at the density's grid
     from repelflow import attraction
     built = []
     lowrank = attraction._lowrank_kernel
@@ -500,7 +503,7 @@ def test_attract_steady_reuses_the_solver_field(tmp_path, monkeypatch):
     with pytest.warns(ResolutionWarning):
         st, fld = solve_attraction_steady(AttractionPotential.gaussian_bump(d3, 0.01),
                                           d3, 1.0, n_grid=129, allow_unproven=True)
-    assert len(built) == 2 * (fld.iteration + 2)
+    assert len(built) == 2 * 2
     _, rows = read_table(out / "steady.csv", "steady.csv", "invalid table")
     rho = st.density
     assert np.array_equal(rows[:, 0], rho.grid)
@@ -532,6 +535,46 @@ def test_hash_and_semicolon_inside_a_word_round_trip(tmp_path):
     cfg = ExperimentConfig(out="runs/a#1;b", potential_table="t;1.csv")
     config_to_ini(cfg, tmp_path / "c.ini")
     assert config_from_ini(tmp_path / "c.ini") == cfg
+
+
+def _configparser_text(cfg):
+    """The INI text ConfigParser.write gives for a config's sections."""
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, values in _ini_entries(cfg):
+        cp[section] = {key: _ini_value(value) for key, value in values.items()}
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cfg", [
+    *(recipe(name) for name in sorted(RECIPES)),
+    ExperimentConfig(out="runs/50%_a%%b", potential_table="t%1.csv",
+                     rate_quantities=("l1", "energy_gap"),
+                     rho0={"kind": "cloud", "path": "c%.csv"}),
+    ExperimentConfig(out="runs/a\nb"),
+], ids=[*sorted(RECIPES), "percent", "line-break"])
+def test_config_to_ini_writes_what_configparser_writes(tmp_path, cfg):
+    path = tmp_path / "c.ini"
+    config_to_ini(cfg, path)
+    assert path.read_text() == _configparser_text(cfg)
+
+
+def test_config_to_ini_leaves_no_cyclic_garbage(tmp_path):
+    # a long benchmark run writes a config per pass; ConfigParser left 149
+    # objects per write that only a full collection frees
+    cfg = recipe("rates_d3")
+    gc.collect()
+    gc.disable()
+    try:
+        config_to_ini(cfg, tmp_path / "c.ini")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.parametrize("mode, text", [

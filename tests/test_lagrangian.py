@@ -1,6 +1,7 @@
 """Quantile dynamics: placement, stepping, invariants, reconstruction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from repelflow import (Dimension, uniform_ball, annulus, line_interval,
                        evolve, EvolutionConfig, reconstruct_density,
                        steady_quantile_state, support_radius,
                        build_steady_state, l1_distance, shell_energy,
-                       dissipation)
+                       dissipation, AttractionPotential,
+                       effective_attraction_potential)
 from repelflow._cubic import pchip
 from repelflow.density import RadialDensity
-from repelflow.lagrangian import LagrangianState, rhs, step, _mass_matched_edges, _rk
+from repelflow.lagrangian import (LagrangianState, rhs, step, _default_density_cap,
+                                  _mass_matched_edges, _rk)
 from repelflow.errors import ConfigError, StiffnessError
 
 
@@ -300,6 +303,32 @@ def test_callable_field_is_refreshed():
     fixed, _ = evolve(st, quadratic(), cfg)
     assert len(calls) >= 2
     assert np.allclose(final.radii, fixed.radii, atol=1e-14)
+
+
+def test_a_callable_field_is_built_once_per_step():
+    # the start state's field sets the default density cap and drives the
+    # first step; the states are those of a fresh field before every step
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.01)
+    start = init_lagrangian(uniform_ball(d3, 1.0, 0.6), 64, d3)
+    built = []
+
+    def field(state):
+        built.append(state.time)
+        return effective_attraction_potential(state, W)
+
+    cfg = EvolutionConfig(t_end=0.3, snapshot_stride=1)
+    final, snaps = evolve(start, field, cfg)
+    assert built == [s.time for s in snaps[:-1]]
+    fixed = replace(cfg, density_cap=_default_density_cap(
+        start, effective_attraction_potential(start, W)))
+    state = replace(start, dt=cfg.dt_init)
+    for snap in snaps[1:]:
+        state = step(state, effective_attraction_potential(state, W), fixed,
+                     dt_cap=cfg.t_end - state.time)
+        assert np.array_equal(state.radii, snap.radii)
+        assert np.array_equal(state.densities, snap.densities)
+    assert state.time == final.time
 
 
 @st.composite
