@@ -81,7 +81,8 @@ def pchip(x, y):
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a secant of 0 or a harmonic mean past the float range gives the slope 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
     dk[0] = _pchip_end(h[0], h[1], m[0], m[1])

@@ -30,7 +30,8 @@ from .density import (uniform_ball, annulus, line_interval, l1_distance,
 from .steady import build_steady_state
 from .lagrangian import (DT_MIN, MIN_QUANTILES, EvolutionConfig, _check_rk_order,
                          init_lagrangian, evolve, reconstruct_density)
-from .diagnostics import collect_series, fit_rate, DiagnosticSeries, _check_window
+from .diagnostics import (RATE_QUANTITIES, collect_series, fit_rate, DiagnosticSeries,
+                          _check_window)
 from .particles import (sample_radial, load_cloud, save_cloud, run_particles,
                         discrete_energy, cloud_support_radius, _cloud_header,
                         _cloud_columns)
@@ -38,72 +39,68 @@ from .attraction import MIN_GRID, solve_attraction_steady, _smallness_gate
 from ._table import read_table, write_table
 from .errors import SolverError, ConfigError, PotentialError
 
-MODES = ("steady", "simulate_radial", "simulate_particles",
-         "attract_steady", "rates", "validate")
 
-POTENTIAL_KINDS = ("quadratic", "quartic", "log-tail", "double-well",
-                   "zero", "table")
-
-RHO0_KINDS = ("ball", "annulus", "interval", "cloud")
-
-RATE_QUANTITIES = ("energy_gap", "l1", "support_gap")
-
-CHOICES = {"mode": MODES, "potential_kind": POTENTIAL_KINDS,
-           "particle_mode": ("confinement", "attraction"),
-           "check": ("pareto", "compact")}
+def _ini(section, default, key=None):
+    """A field held in the INI file as [section] key; key defaults to the field name."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat record of one experiment; every mode reads a subset."""
+    """Flat record of one experiment; every mode reads a subset.
 
-    mode: str = "steady"
-    out: str = "runs/out"
-    seed: int = 0
-    dimension: int = 3
-    m0: float = 1.0
+    The fields are the INI layout in file order: each carries its section,
+    and its key where that differs from the field name.  [rho0] and
+    [rho0_alt] fill the dict field of the same name, with the keys RHO0_KEYS.
+    """
+
+    mode: str = _ini("run", "steady")
+    out: str = _ini("run", "runs/out")
+    seed: int = _ini("run", 0)
+    dimension: int = _ini("problem", 3)
+    m0: float = _ini("problem", 1.0)
     # confinement potential
-    potential_kind: str = "quadratic"
-    potential_param: float = 1.0
-    potential_table: str = ""
+    potential_kind: str = _ini("potential", "quadratic", "kind")
+    potential_param: float = _ini("potential", 1.0, "param")
+    potential_table: str = _ini("potential", "", "table")
     # attraction kernel (attract_steady, or particle attraction mode)
-    epsilon: float = None
-    bump_width: float = 1.0
-    bump_sign: int = 1
-    allow_unproven: bool = False
-    attraction_n_grid: int = 1025
-    attraction_tol: float = 1e-9
-    attraction_max_iter: int = 60
+    epsilon: float = _ini("attraction", None)
+    bump_width: float = _ini("attraction", 1.0, "width")
+    bump_sign: int = _ini("attraction", 1, "sign")
+    allow_unproven: bool = _ini("attraction", False)
+    attraction_n_grid: int = _ini("attraction", 1025, "n_grid")
+    attraction_tol: float = _ini("attraction", 1e-9, "tol")
+    attraction_max_iter: int = _ini("attraction", 60, "max_iter")
     # initial datum
-    rho0: dict = field(default_factory=dict)
-    rho0_alt: dict = None
+    rho0: dict = field(default_factory=dict, metadata={"section": "rho0"})
+    rho0_alt: dict = _ini("rho0_alt", None)
     # quantile solver
-    n_quantiles: int = 512
-    dt_init: float = 0.01
-    dt_min: float = DT_MIN
-    dt_max: float = 0.1
-    t_end: float = 10.0
-    rk_order: int = 4
-    snapshot_stride: int = 10
-    steady_n_grid: int = 8192
+    n_quantiles: int = _ini("solver", 512)
+    dt_init: float = _ini("solver", 0.01)
+    dt_min: float = _ini("solver", DT_MIN)
+    dt_max: float = _ini("solver", 0.1)
+    t_end: float = _ini("solver", 10.0)
+    rk_order: int = _ini("solver", 4)
+    snapshot_stride: int = _ini("solver", 10)
+    steady_n_grid: int = _ini("solver", 8192, "n_grid")
     # particle solver
-    n_particles: int = 1000
-    particle_t_end: float = 5.0
-    particle_dt_max: float = 0.05
-    particle_safety: float = 0.1
-    particle_rk_order: int = 2
-    particle_mode: str = "confinement"
+    n_particles: int = _ini("particles", 1000, "n")
+    particle_t_end: float = _ini("particles", 5.0, "t_end")
+    particle_dt_max: float = _ini("particles", 0.05, "dt_max")
+    particle_safety: float = _ini("particles", 0.1, "safety")
+    particle_rk_order: int = _ini("particles", 2, "rk_order")
+    particle_mode: str = _ini("particles", "confinement", "mode")
     # rate fits
-    rate_quantities: tuple = ()
-    window_lo: float = 1.0
-    window_hi: float = 10.0
-    series_path: str = ""
-    min_samples: int = 20
-    gamma_target: float = None
+    rate_quantities: tuple = _ini("rates", (), "quantity")
+    window_lo: float = _ini("rates", 1.0)
+    window_hi: float = _ini("rates", 10.0)
+    series_path: str = _ini("rates", "", "series")
+    min_samples: int = _ini("rates", 20)
+    gamma_target: float = _ini("rates", None)
     # validators
-    check: str = "pareto"
-    c_v: float = 1.0
-    r0: float = 1.0
+    check: str = _ini("validate", "pareto")
+    c_v: float = _ini("validate", 1.0)
+    r0: float = _ini("validate", 1.0)
 
     def evolution(self):
         """The [solver] section as the radial solver's EvolutionConfig."""
@@ -176,17 +173,15 @@ def _read_table(path):
     return data
 
 
-def build_confinement(cfg):
-    """Confinement potential from the config's [potential] spec."""
-    kind, p = cfg.potential_kind, cfg.potential_param
-    if kind == "table":
-        data = _load_input(cfg.potential_table, _read_table)
-        return table_potential(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    if kind == "zero":
-        return zero_potential()
-    factory = {"quadratic": quadratic, "quartic": quartic,
-               "log-tail": log_tail, "double-well": double_well}[kind]
-    return factory(p)
+# [potential] kind -> the confinement potential of a config
+_CONFINEMENTS = {
+    "quadratic": lambda cfg: quadratic(cfg.potential_param),
+    "quartic": lambda cfg: quartic(cfg.potential_param),
+    "log-tail": lambda cfg: log_tail(cfg.potential_param),
+    "double-well": lambda cfg: double_well(cfg.potential_param),
+    "zero": lambda cfg: zero_potential(),
+    "table": lambda cfg: table_potential(*_load_input(cfg.potential_table, _read_table).T),
+}
 
 
 def build_attraction(cfg, dim):
@@ -198,19 +193,24 @@ def build_attraction(cfg, dim):
                                              sign=cfg.bump_sign)
 
 
+# [rho0] kind -> (profile constructor, the keys it takes after the value with
+# their defaults); a cloud is no profile, and only a particle run starts from one
+_PROFILES = {"ball": (uniform_ball, {"radius": 1.0}),
+             "annulus": (annulus, {"r_in": 1.0, "r_out": 2.0}),
+             "interval": (line_interval, {"a": -1.0, "b": 0.0})}
+RHO0_KINDS = (*_PROFILES, "cloud")
+RHO0_KEYS = {"kind": str, "value": float,
+             **{key: float for _, keys in _PROFILES.values() for key in keys}, "path": str}
+
+
 def build_density(spec, dim, m0):
     """Initial radial profile from a rho0 spec, renormalized to m0."""
     kind = spec.get("kind", "ball")
-    value = spec.get("value", 1.0)
-    if kind == "ball":
-        rho = uniform_ball(dim, value, spec.get("radius", 1.0))
-    elif kind == "annulus":
-        rho = annulus(dim, value, spec.get("r_in", 1.0), spec.get("r_out", 2.0))
-    elif kind == "interval":
-        rho = line_interval(dim, value, spec.get("a", -1.0), spec.get("b", 0.0))
-    else:
+    if kind not in _PROFILES:
         raise ConfigError(f"rho0 kind {kind!r} is not a radial profile",
                           reason="invalid solver config")
+    make, keys = _PROFILES[kind]
+    rho = make(dim, spec.get("value", 1.0), *(spec.get(k, v) for k, v in keys.items()))
     return rho.renormalized(m0)
 
 
@@ -242,55 +242,31 @@ def comma_list(raw):
     return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-# The INI layout in file order: each section lists its keys, and an entry
-# (key, field) names the ExperimentConfig field where the two differ.
-# [rho0] and [rho0_alt] fill the dict field of the same name instead.
-RHO0_KEYS = {"kind": str, "value": float, "radius": float, "r_in": float,
-             "r_out": float, "a": float, "b": float, "path": str}
-
-INI_LAYOUT = (
-    ("run", ("mode", "out", "seed")),
-    ("problem", ("dimension", "m0")),
-    ("potential", (("kind", "potential_kind"), ("param", "potential_param"),
-                   ("table", "potential_table"))),
-    ("attraction", ("epsilon", ("width", "bump_width"), ("sign", "bump_sign"),
-                    "allow_unproven", ("n_grid", "attraction_n_grid"),
-                    ("tol", "attraction_tol"),
-                    ("max_iter", "attraction_max_iter"))),
-    ("rho0", RHO0_KEYS),
-    ("rho0_alt", RHO0_KEYS),
-    ("solver", ("n_quantiles", "dt_init", "dt_min", "dt_max", "t_end",
-                "rk_order", "snapshot_stride",
-                ("n_grid", "steady_n_grid"))),
-    ("particles", (("n", "n_particles"), ("t_end", "particle_t_end"),
-                   ("dt_max", "particle_dt_max"),
-                   ("safety", "particle_safety"),
-                   ("rk_order", "particle_rk_order"),
-                   ("mode", "particle_mode"))),
-    ("rates", (("quantity", "rate_quantities"), "window_lo", "window_hi",
-               ("series", "series_path"), "min_samples", "gamma_target")),
-    ("validate", ("check", "c_v", "r0")),
-)
-
-
 def _sections():
-    """section -> {key: (field, cast)}; a [rho0] key is its own field."""
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    """section -> {key: (field, cast)} in file order, read off ExperimentConfig.
+
+    A [rho0] or [rho0_alt] key is its own field of the section's dict.
+    """
     casts = {bool: boolean, tuple: comma_list}
     table = {}
-    for section, entries in INI_LAYOUT:
-        if isinstance(entries, dict):
-            table[section] = {key: (key, cast) for key, cast in entries.items()}
+    for f in fields(ExperimentConfig):
+        section = f.metadata["section"]
+        if f.type is dict:
+            table[section] = {key: (key, cast) for key, cast in RHO0_KEYS.items()}
         else:
-            pairs = [(e, e) if isinstance(e, str) else e for e in entries]
-            table[section] = {key: (name, casts.get(types[name], types[name]))
-                              for key, name in pairs}
+            key = f.metadata["key"] or f.name
+            table.setdefault(section, {})[key] = (f.name, casts.get(f.type, f.type))
     return table
 
 
 _SECTIONS = _sections()
-_SPEC_SECTIONS = {section for section, entries in INI_LAYOUT
-                  if isinstance(entries, dict)}
+_SPEC_SECTIONS = {f.metadata["section"] for f in fields(ExperimentConfig) if f.type is dict}
+# the layout as (section, entries): a key, or (key, field) where the two
+# differ; a [rho0] section lists RHO0_KEYS
+INI_LAYOUT = tuple(
+    (section, RHO0_KEYS if section in _SPEC_SECTIONS else
+     tuple(key if key == name else (key, name) for key, (name, _) in keys.items()))
+    for section, keys in _SECTIONS.items())
 
 
 # where the reader sees an inline comment: '#' or ';' at the start of a
@@ -645,6 +621,11 @@ _RUNNERS = {"steady": _run_steady,
             "attract_steady": _run_attract_steady,
             "rates": _run_rates,
             "validate": _run_validate}
+MODES = tuple(_RUNNERS)
+
+CHOICES = {"mode": MODES, "potential_kind": tuple(_CONFINEMENTS),
+           "particle_mode": ("confinement", "attraction"),
+           "check": ("pareto", "compact")}
 
 
 def _initial_cloud(cfg, dim, V):
@@ -677,8 +658,7 @@ def _read_inputs(cfg):
         src = src / "series.csv" if src.is_dir() else src
         series = _load_input(src, DiagnosticSeries.from_csv)
         # the series records the dimension it was run in; the config's is a fallback
-        d = series.params.get("d", cfg.dimension)
-        dim = Dimension(d) if d else None
+        dim = Dimension(series.params.get("d", cfg.dimension))
         _check_window((cfg.window_lo, cfg.window_hi), series.times[0], series.times[-1])
         return {"dim": dim, "src": src, "series": series}
     dim = Dimension(cfg.dimension)
@@ -687,7 +667,7 @@ def _read_inputs(cfg):
                                         and cfg.particle_mode == "attraction"):
         inputs = {"dim": dim, "W": build_attraction(cfg, dim)}
     else:
-        inputs = {"dim": dim, "V": build_confinement(cfg)}
+        inputs = {"dim": dim, "V": _CONFINEMENTS[cfg.potential_kind](cfg)}
     if cfg.mode == "simulate_radial":
         if cfg.rate_quantities:
             _check_window((cfg.window_lo, cfg.window_hi), 0.0, cfg.t_end)
@@ -714,13 +694,12 @@ def run(cfg, config_sha=None):
     if config_sha is None:
         config_sha = hashlib.sha256(
             (out / "config_used.ini").read_bytes()).hexdigest()
+    artifacts = ["config_used.ini"]
     try:
-        artifacts = _RUNNERS[cfg.mode](cfg, out, **inputs)
+        artifacts += _RUNNERS[cfg.mode](cfg, out, **inputs) + ["manifest.json"]
     finally:
-        # manifest records the attempt even when the runner raises
-        _manifest(out, cfg, config_sha, t0, ["config_used.ini"])
-    _manifest(out, cfg, config_sha, t0,
-              artifacts + ["config_used.ini", "manifest.json"])
+        # the manifest records the attempt even when the runner raises
+        _manifest(out, cfg, config_sha, t0, artifacts)
     return 0
 
 

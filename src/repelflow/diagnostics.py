@@ -9,13 +9,14 @@ dE_N/dt = -sum m_i u_i^2 holds discretely and energy gaps can be measured
 against the steady quantile configuration without quadrature noise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._table import read_table, write_table
 from .density import l1_distance as _l1_profiles
 from .errors import ConfigError, NumericsError
+from .geometry import Dimension
 from .lagrangian import LagrangianState, reconstruct_density, rhs, steady_quantile_state, support_radius
 
 __all__ = [
@@ -78,9 +79,12 @@ EPS1, EPS2 = 0.1, 0.01
 
 
 def lyapunov(energy_gap, discrepancy_value, support_gap, dim):
-    """(E - E_inf) + EPS1 F + EPS2 (R - R_inf)_+^m with m = d + 1."""
-    return float(energy_gap + EPS1 * discrepancy_value
-                 + EPS2 * max(support_gap, 0.0) ** (dim.d + 1))
+    """(E - E_inf) + EPS1 F + EPS2 (R - R_inf)_+^m with m = d + 1; inf past the float range."""
+    try:
+        tail = max(support_gap, 0.0) ** (dim.d + 1)
+    except OverflowError:
+        tail = np.inf
+    return float(energy_gap + EPS1 * discrepancy_value + EPS2 * tail)
 
 
 def l1_to_steady(state, steady):
@@ -90,25 +94,25 @@ def l1_to_steady(state, steady):
     return _l1_profiles(profile, target)
 
 
-SERIES_COLUMNS = ("t", "E", "D", "F", "R", "lyapunov", "l1")
-
-
 @dataclass
 class DiagnosticSeries:
-    """Per-snapshot time series of every functional in the decay analysis."""
+    """Per-snapshot time series of every functional in the decay analysis.
 
-    times: np.ndarray
-    energy: np.ndarray
-    dissipation: np.ndarray
-    discrepancy: np.ndarray
-    support: np.ndarray
-    lyapunov: np.ndarray
-    l1_dist: np.ndarray
+    The fields before ``params`` are the columns of series.csv, in order,
+    each with its column name.
+    """
+
+    times: np.ndarray = field(metadata={"column": "t"})
+    energy: np.ndarray = field(metadata={"column": "E"})
+    dissipation: np.ndarray = field(metadata={"column": "D"})
+    discrepancy: np.ndarray = field(metadata={"column": "F"})
+    support: np.ndarray = field(metadata={"column": "R"})
+    lyapunov: np.ndarray = field(metadata={"column": "lyapunov"})
+    l1_dist: np.ndarray = field(metadata={"column": "l1"})
     params: dict = field(default_factory=dict)   # eps1, eps2, m, E_inf, R_inf, d, m0
 
     def _columns(self):
-        return (self.times, self.energy, self.dissipation, self.discrepancy,
-                self.support, self.lyapunov, self.l1_dist)
+        return tuple(getattr(self, f.name) for f in _COLUMN_FIELDS)
 
     def _check_samples(self):
         """Every entry finite and the times strictly increasing."""
@@ -139,6 +143,10 @@ class DiagnosticSeries:
         return series
 
 
+_COLUMN_FIELDS = [f for f in fields(DiagnosticSeries) if "column" in f.metadata]
+SERIES_COLUMNS = tuple(f.metadata["column"] for f in _COLUMN_FIELDS)
+
+
 def collect_series(snapshots, V, steady=None, with_l1=True):
     """Assemble a DiagnosticSeries from quantile snapshots.
 
@@ -158,24 +166,23 @@ def collect_series(snapshots, V, steady=None, with_l1=True):
         rho_inf = steady.density
     else:
         E_inf, R_inf, rho_inf = 0.0, 0.0, None
-    t, E, D, F, R, L, l1 = [], [], [], [], [], [], []
-    for s in snapshots:
-        t.append(s.time)
-        E.append(shell_energy(s, V))
-        D.append(dissipation(s, V))
-        F.append(discrepancy(s, V))
-        R.append(support_radius(s))
-        L.append(lyapunov(E[-1] - E_inf, F[-1], R[-1] - R_inf, dim))
-        if rho_inf is not None and with_l1:
-            l1.append(l1_to_steady(s, rho_inf))
-        else:
-            l1.append(0.0)
+    rows = []
+    # a value past the float range fails the run below, not with a warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in snapshots:
+            E, D, F = shell_energy(s, V), dissipation(s, V), discrepancy(s, V)
+            R = support_radius(s)
+            L = lyapunov(E - E_inf, F, R - R_inf, dim)
+            l1 = l1_to_steady(s, rho_inf) if rho_inf is not None and with_l1 else 0.0
+            rows.append((s.time, E, D, F, R, L, l1))
+    rows = np.array(rows)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericsError(f"a diagnostic overflows at t={rows[~finite][0, 0]:g}",
+                            reason="numerics failure")
     params = {"eps1": EPS1, "eps2": EPS2, "m": m, "E_inf": E_inf, "R_inf": R_inf,
               "d": dim.d, "m0": m0, "n_quantiles": snapshots[0].n}
-    return DiagnosticSeries(times=np.array(t), energy=np.array(E),
-                            dissipation=np.array(D), discrepancy=np.array(F),
-                            support=np.array(R), lyapunov=np.array(L),
-                            l1_dist=np.array(l1), params=params)
+    return DiagnosticSeries(*rows.T, params=params)
 
 
 def gamma_theory(dim, gamma_target=None):
@@ -242,6 +249,14 @@ def _check_window(window, t_first, t_last):
                           reason="window error")
 
 
+# rate quantity -> its values along a series
+RATE_QUANTITIES = {
+    "energy_gap": lambda series: series.energy - series.params.get("E_inf", 0.0),
+    "l1": lambda series: series.l1_dist,
+    "support_gap": lambda series: series.support - series.params.get("R_inf", 0.0),
+}
+
+
 def fit_rate(series, quantity, window, gamma_target=None, dim=None,
              min_samples=20):
     """Fit log(value) against log(1+t) and report gamma_hat = -slope.
@@ -250,17 +265,14 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
     half; a ratio >= 1.2 flags the fit super-algebraic (the algebraic bound
     is one-sided, so faster decay is consistent with it).
     """
-    picks = {"energy_gap": series.energy - series.params.get("E_inf", 0.0),
-             "l1": series.l1_dist,
-             "support_gap": series.support - series.params.get("R_inf", 0.0)}
-    if quantity not in picks:
+    if quantity not in RATE_QUANTITIES:
         raise ConfigError(f"unknown rate quantity {quantity!r}", reason="invalid solver config")
     t_a, t_b = window
     times = series.times
     _check_window(window, times[0], times[-1])
     mask = (times >= t_a) & (times <= t_b)
     t = times[mask]
-    v = np.asarray(picks[quantity])[mask]
+    v = np.asarray(RATE_QUANTITIES[quantity](series))[mask]
     need = max(min_samples, 2)    # a line takes two points
     if len(t) < need:
         raise ConfigError(f"only {len(t)} samples in window, need {need}",
@@ -278,13 +290,12 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
         g_tail, _ = _loglog_slope(t[~split], v[~split])
     super_alg = g_head > 0.0 and g_tail >= 1.2 * g_head and (g_tail - g_head) > 0.1
 
-    d = dim.d if dim is not None else series.params.get("d")
-    gt = None
-    q = None
-    if d is not None:
-        from .geometry import Dimension
-        gt = gamma_theory(Dimension(int(d)), gamma_target=gamma_target)
-        q = 2.0 * d / (d + 2.0) if d > 2 else None
+    if dim is None and series.params.get("d") is not None:
+        dim = Dimension(series.params["d"])
+    gt = q = None
+    if dim is not None:
+        gt = gamma_theory(dim, gamma_target=gamma_target)
+        q = 2.0 * dim.d / (dim.d + 2.0) if dim.d > 2 else None
     return RateFit(gamma_hat=float(gamma_hat), window=(float(t_a), float(t_b)),
                    r_squared=float(r2), gamma_theory=gt, quantity=quantity,
                    n_samples=int(len(t)), super_algebraic=bool(super_alg),

@@ -192,7 +192,9 @@ def _try_rk(state, V_eff, dt, order):
     def f(y):
         return np.array(_velocities(y[0], y[1], m, state.dim, state.m0, V_eff))
 
-    y1 = _rk(f, np.array([state.radii, state.densities]), dt, order)
+    # a stage past the float range gives a non-finite state, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1 = _rk(f, np.array([state.radii, state.densities]), dt, order)
     if not np.all(np.isfinite(y1)):
         raise _StepReject("non-finite state")
     return y1[0], y1[1]

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repelflow.cli import (ExperimentConfig, config_from_ini, config_to_ini,
                            recipe, RECIPES, MODES, CHOICES, INI_LAYOUT,
@@ -27,7 +28,7 @@ from repelflow._table import _CSV_BLOCK_ROWS, read_table, write_table
 from repelflow import (AttractionPotential, Dimension, ParticleCloud,
                        build_steady_state, load_cloud, newtonian_radial_potential,
                        quartic, save_cloud, solve_attraction_steady, verify_steady)
-from repelflow.diagnostics import DiagnosticSeries
+from repelflow.diagnostics import RATE_QUANTITIES, DiagnosticSeries
 from repelflow.errors import ConfigError, ResolutionWarning
 
 
@@ -369,6 +370,23 @@ def test_a_coarse_steady_grid_is_a_resolution_failure(tmp_path, capsys, mode):
     assert "reason: insufficient resolution" in err
     assert json.loads((out / "manifest.json").read_text())["artifacts"] == \
         ["config_used.ini"]
+
+
+@pytest.mark.parametrize("text, code, listed", [
+    ("", 0, ["config_used.ini", "manifest.json", "steady.csv", "summary.json"]),
+    ("[potential]\nkind = quartic\n\n[solver]\nn_grid = 10\n", 3, ["config_used.ini"]),
+], ids=["success", "failure"])
+def test_a_run_writes_its_manifest_once(tmp_path, monkeypatch, text, code, listed):
+    from repelflow import cli
+    written = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json",
+                        lambda path, payload: written.append(path.name) or write_json(path, payload))
+    ini = _write_ini(tmp_path / "s.ini", f"[run]\nmode = steady\n\n{text}")
+    out = tmp_path / "o"
+    assert main(["steady", "--config", ini, "--out", str(out)]) == code
+    assert written.count("manifest.json") == 1
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == listed
 
 
 def test_a_double_well_runs_without_a_steady_reference(tmp_path):
@@ -752,6 +770,52 @@ def test_fuzzed_ini_parses_or_is_config_error(tmp_path_factory, text):
     assert isinstance(cfg, ExperimentConfig)
 
 
+def _readme_choices(item):
+    """(key, names) of a README layout item that lists choices, else (key, None)."""
+    key, rest = re.fullmatch(r"(\w+)\s*(.*)", item).groups()
+    inner = re.fullmatch(r"= (.*)|\((.*)\)", rest)
+    text = (inner[1] or inner[2]) if inner else ""
+    if "|" in text:
+        return key, set(re.split(r"\s*\|\s*", text))
+    if "names:" in text:
+        return key, set(re.split(r",\s*", text.split("names:")[1].strip()))
+    return key, None
+
+
+def test_readme_config_block_is_the_layout_of_the_code():
+    # README's "Config format" block is the one copy of the INI layout
+    # outside the code; its sections, keys and named choices are the code's
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    bodies = {}
+    for line in block.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section, line = head[1], line[head.end():]
+        bodies[section] = f"{bodies.get(section, '')},{line}"
+    keys, choices = {}, {}
+    for section, body in bodies.items():
+        body = bodies["rho0"] if "same keys" in body else body
+        # items are split at the commas outside parentheses
+        items = [item.strip() for item in re.split(r",(?![^(]*\))", body) if item.strip()]
+        keys[section] = set()
+        for item in items:
+            key, names = _readme_choices(item)
+            keys[section].add(key)
+            if names and not all(re.fullmatch(r"-?\d+", name) for name in names):
+                choices[section, key] = names
+    assert list(keys) == [section for section, _ in INI_LAYOUT]
+    for section, entries in INI_LAYOUT:
+        assert keys[section] == {e if isinstance(e, str) else e[0] for e in entries}, section
+    assert choices == {("potential", "kind"): set(CHOICES["potential_kind"]),
+                       ("rho0", "kind"): set(RHO0_KINDS), ("rho0_alt", "kind"): set(RHO0_KINDS),
+                       ("particles", "mode"): set(CHOICES["particle_mode"]),
+                       ("rates", "quantity"): set(RATE_QUANTITIES),
+                       ("validate", "check"): set(CHOICES["check"])}
+    modes = text.split("\nModes: ", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`(\w+)`", modes) == list(CHOICES["mode"])
+
+
 def test_unknown_recipe_rejected():
     # argparse enforces the recipe enum itself
     with pytest.raises(SystemExit):
@@ -909,6 +973,20 @@ window_hi = 5.0
     summary = json.loads((out / "summary.json").read_text())
     for q in ("energy_gap", "l1"):
         assert summary[f"rate_{q}"]["verdict"] == "n/a"
+
+
+@pytest.mark.parametrize("d", ["''", "0", "False", "None"])
+def test_a_bad_series_dimension_exits_2_before_the_output_directory(tmp_path, capsys, d):
+    # the header's d was read twice: '' ended in a traceback, 0 and False
+    # exited 2 only after --out existed, and None was fitted with no theory
+    run_dir = _algebraic_series(tmp_path)
+    path = run_dir / "series.csv"
+    path.write_text(path.read_text().replace("# d = 3\n", f"# d = {d}\n"))
+    ini = _write_ini(tmp_path / "r.ini", f"[run]\nmode = rates\n\n[rates]\nseries = {run_dir}\n")
+    out = tmp_path / "f"
+    assert main(["rates", "--config", ini, "--out", str(out)]) == 2
+    assert "reason: invalid dimension" in capsys.readouterr().err
+    assert not out.exists()
 
 
 RADIAL_INI = """
@@ -1254,6 +1332,21 @@ _SMALL_RUNS = st.builds(
 
 @settings(max_examples=150)
 @given(cfg=_SMALL_RUNS)
+# found by random-seed fuzzing: a trial stage that overflows, which the step
+# rejects; an overflowing harmonic mean in pchip; a t = 0 row of inf in
+# series.csv, written by a run that exited 0. Found by hand: a support radius
+# whose Lyapunov term overflows, which ended in an OverflowError traceback
+@example(cfg=ExperimentConfig(
+    mode="simulate_radial", dimension=1, m0=0.5, potential_param=0.0,
+    rho0={"kind": "ball", "radius": 6.648785811546748e-27}, n_quantiles=16,
+    t_end=0.125, snapshot_stride=1, steady_n_grid=1))
+@example(cfg=ExperimentConfig(mode="attract_steady", dimension=2, m0=1e-310,
+                              attraction_n_grid=3))
+@example(cfg=ExperimentConfig(
+    mode="simulate_radial", dimension=1, m0=0.5, potential_kind="double-well",
+    potential_param=2.955215885458841e-107, t_end=0.0, n_quantiles=16, steady_n_grid=1))
+@example(cfg=ExperimentConfig(mode="simulate_radial", potential_param=-1000.0,
+                              n_quantiles=16, t_end=0.2))
 def test_any_small_run_exits_with_a_documented_code(tmp_path_factory, cfg):
     # a whole run in process exits 0, 2, 3 or 4, never with a traceback; the
     # drawn input file names are looked up in one directory that holds a
@@ -1284,6 +1377,9 @@ def test_any_small_run_exits_with_a_documented_code(tmp_path_factory, cfg):
         # the manifest lists every file the run wrote
         listed = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert sorted(listed) == sorted(p.name for p in out.iterdir())
+        # and every series it wrote is one that rates accepts: finite
+        for path in out.glob("series*.csv"):
+            DiagnosticSeries.from_csv(path)
         return
     assert code in (2, 3, 4)
     assert [line[:7] for line in lines[-2:]] == ["error: ", "reason:"]
