@@ -22,7 +22,7 @@ if __name__ == "__main__":
     state = init_lagrangian(rho0, 512, dim, dt_init=0.01)
     final, snaps = evolve(state, V, EvolutionConfig(dt_init=0.01, t_end=20.0,
                                                     snapshot_stride=1))
-    series = collect_series(snaps, V, steady=steady, with_l1=True)
+    series = collect_series(snaps, V, steady=steady)
 
     print(f"steps accepted: {len(snaps) - 1}")
     print(f"terminal L1 gap to the constructed profile: "

@@ -71,6 +71,10 @@ _CERTIFY_TOL = 1e-13
 _BOX_SLACK = 1e-12
 # elements per (rows, len(s), 64) array of a blocked kernel evaluation
 _BLOCK_ELEMENTS = 2 ** 15
+# Simpson points of a convolution's s-grid: 512 whole panels
+_S_POINTS = 1025
+# knots of the radial grid that tabulates the shell flow's attraction field
+_FIELD_KNOTS = 48
 # fewest knots of the fixed-point grid: its field table of 2 n_grid - 1 radii needs 4
 MIN_GRID = 3
 
@@ -201,7 +205,7 @@ def _lowrank_kernel(f, dim, r_hi, s_hi):
     return None
 
 
-def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True, kernel_grid=None):
+def _convolution(f, rho, dim, r_hi, refine_check=True, kernel_grid=None):
     """``spherical_mean_convolve`` as an operator r -> (f * rho)(r), r in [0, r_hi].
 
     ``kernel_grid(f, dim, r_hi, s_hi)`` gives the kernel grid, certified on
@@ -213,12 +217,9 @@ def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True, kernel_grid=Non
     """
     if dim.d < 2:
         raise ConfigError("spherical convolution needs d >= 2", reason="invalid dimension")
-    if n_s < 3 or n_s % 2 == 0:
-        raise ConfigError(f"n_s must be an odd count of at least 3, got {n_s}",
-                          reason="invalid solver config")
     s_hi = min(rho.grid[-1], rho.support_radius)
-    s_grids = [np.linspace(0.0, s_hi, n)
-               for n in ((n_s, 2 * n_s - 1) if refine_check else (n_s,))]
+    counts = (_S_POINTS, 2 * _S_POINTS - 1) if refine_check else (_S_POINTS,)
+    s_grids = [np.linspace(0.0, s_hi, n) for n in counts]
     weights = [rho(s) * s ** (dim.d - 1) for s in s_grids]
     kernel = (kernel_grid or _lowrank_kernel)(f, dim, r_hi, s_hi)
     if kernel is None:
@@ -249,16 +250,15 @@ def _convolution(f, rho, dim, r_hi, n_s=1025, refine_check=True, kernel_grid=Non
     return convolve
 
 
-def spherical_mean_convolve(f, rho, dim, r, n_s=1025):
+def spherical_mean_convolve(f, rho, dim, r):
     """(f * rho)(r) for radial f and rho.
 
     Reduces the volume convolution to
 
         sigma_d int rho(s) s^(d-1) mean_(|y|=s) f(|x - y|) ds,   |x| = r,
 
-    with composite Simpson on a uniform grid of n_s points over the
-    support; n_s must be odd and at least 3, so that the grid is whole
-    Simpson panels (its refinement, 2 n_s - 1 points, is odd too).  The sphere
+    with composite Simpson on a uniform grid of 1025 points over the
+    support, 512 whole panels (the refinement check uses 2049).  The sphere
     mean of a smooth f is analytic in (r, s), so it is read from a p x p
     Chebyshev-Lobatto grid over [0, max r] x [0, s_max] of the angular rule,
     certified by its half-node interpolant (``_lowrank_kernel``): with
@@ -269,7 +269,7 @@ def spherical_mean_convolve(f, rho, dim, r, n_s=1025):
     G' = t f(t), elsewhere the angular rule.  Doubling the s-grid must move
     the result by less than 1e-6 relative, else a resolution error is raised.
     """
-    return _convolution(f, rho, dim, float(np.max(r, initial=0.0)), n_s)(r)
+    return _convolution(f, rho, dim, float(np.max(r, initial=0.0)))(r)
 
 
 @dataclass
@@ -511,12 +511,13 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     return state, field
 
 
-def effective_attraction_potential(state, W, n_grid=48):
+def effective_attraction_potential(state, W):
     """Field W * rho of a quantile state, for attraction-mode dynamics.
 
     The quadratic part is exact (m0 r^2/(2d) plus the second moment); the
     perturbation is summed over shells at the quantile radii and tabulated
-    on a coarse radial grid, cheap enough to refresh every accepted step.
+    on a coarse grid of 48 radii over [0, 2 R_N], cheap enough to refresh
+    every accepted step.
     """
     dim = state.dim
     if dim.d < 2:
@@ -525,7 +526,7 @@ def effective_attraction_potential(state, W, n_grid=48):
     R = state.radii
     m0 = state.m0
     r_hi = 2.0 * float(R[-1]) + 1e-9
-    grid = np.linspace(0.0, r_hi, n_grid)
+    grid = np.linspace(0.0, r_hi, _FIELD_KNOTS)
     second_moment = float(np.sum(m * R * R))
     pert = W.perturbation
     # one kernel, so the d = 3 table of G is built once for both fields

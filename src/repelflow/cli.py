@@ -588,28 +588,30 @@ def _run_rates(cfg, out, dim, src, series):
     return artifacts + ["summary.json"]
 
 
+# [validate] check -> (its report on a config, dimension and V; the report
+# fields that validation.txt and summary.json record; the failure reason)
+_CHECKS = {
+    "pareto": (lambda cfg, dim, V: check_pareto_tail(V, dim),
+               ("increasing", "growth_ratio", "mass_reach"), "pareto tail failed"),
+    "compact": (lambda cfg, dim, V: check_compact_support_tail(V, dim, cfg.c_v, cfg.r0),
+                ("slope_ok", "laplacian_nonneg", "laplacian_sup"),
+                "compact support check failed"),
+}
+
+
 def _run_validate(cfg, out, dim, V):
-    if cfg.check == "compact":
-        rep = check_compact_support_tail(V, dim, cfg.c_v, cfg.r0)
-        fields = {"slope_ok": bool(rep.slope_ok),
-                  "laplacian_nonneg": bool(rep.laplacian_nonneg),
-                  "laplacian_sup": rep.laplacian_sup}
-        fail_reason = "compact support check failed"
-    else:
-        rep = check_pareto_tail(V, dim)
-        fields = {"increasing": bool(rep.increasing),
-                  "growth_ratio": rep.growth_ratio,
-                  "mass_reach": rep.mass_reach}
-        fail_reason = "pareto tail failed"
+    report, names, fail_reason = _CHECKS[cfg.check]
+    rep = report(cfg, dim, V)
+    recorded = {name: getattr(rep, name) for name in names}
     lines = [f"check = {cfg.check}", f"potential = {V.name}",
              f"passed = {bool(rep.passed)}"]
-    lines += [f"{k} = {v}" for k, v in fields.items()]
+    lines += [f"{k} = {v}" for k, v in recorded.items()]
     lines.append(f"note = {rep.note}")
     with open(out / "validation.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_json(out / "summary.json",
                 {"mode": "validate", "check": cfg.check,
-                 "passed": bool(rep.passed), "note": rep.note, **fields})
+                 "passed": bool(rep.passed), "note": rep.note, **recorded})
     if not rep.passed:
         raise PotentialError(rep.note, reason=fail_reason)
     return ["validation.txt", "summary.json"]
@@ -625,7 +627,7 @@ MODES = tuple(_RUNNERS)
 
 CHOICES = {"mode": MODES, "potential_kind": tuple(_CONFINEMENTS),
            "particle_mode": ("confinement", "attraction"),
-           "check": ("pareto", "compact")}
+           "check": tuple(_CHECKS)}
 
 
 def _initial_cloud(cfg, dim, V):

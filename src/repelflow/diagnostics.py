@@ -16,7 +16,6 @@ import numpy as np
 from ._table import read_table, write_table
 from .density import l1_distance as _l1_profiles
 from .errors import ConfigError, NumericsError
-from .geometry import Dimension
 from .lagrangian import LagrangianState, reconstruct_density, rhs, steady_quantile_state, support_radius
 
 __all__ = [
@@ -121,13 +120,6 @@ class DiagnosticSeries:
         if np.any(np.diff(self.times) <= 0.0):
             raise ConfigError("series times must increase strictly", reason="invalid series")
 
-    def validate(self):
-        """The sample checks, and an energy that rises by at most 1e-8 relative."""
-        self._check_samples()
-        scale = np.abs(self.energy[:-1])
-        if np.any(np.diff(self.energy) > 1e-8 * np.maximum(scale, 1e-300)):
-            raise NumericsError("energy increased beyond tolerance", reason="invalid series")
-
     def to_csv(self, path):
         write_table(path, SERIES_COLUMNS, self._columns(), self.params)
 
@@ -147,12 +139,14 @@ _COLUMN_FIELDS = [f for f in fields(DiagnosticSeries) if "column" in f.metadata]
 SERIES_COLUMNS = tuple(f.metadata["column"] for f in _COLUMN_FIELDS)
 
 
-def collect_series(snapshots, V, steady=None, with_l1=True):
+def collect_series(snapshots, V, steady=None):
     """Assemble a DiagnosticSeries from quantile snapshots.
 
     The reference energy is the shell energy of the steady quantile
     configuration at the same N (analytic mass-equation inversion, never
     the trajectory tail), so the gap is identically zero at convergence.
+    With a steady state every snapshot gets its L1 distance to the steady
+    profile; without one E_inf = R_inf = 0 and the l1 column is zero.
     """
     if not snapshots:
         raise ConfigError("no snapshots to diagnose", reason="invalid series")
@@ -173,7 +167,7 @@ def collect_series(snapshots, V, steady=None, with_l1=True):
             E, D, F = shell_energy(s, V), dissipation(s, V), discrepancy(s, V)
             R = support_radius(s)
             L = lyapunov(E - E_inf, F, R - R_inf, dim)
-            l1 = l1_to_steady(s, rho_inf) if rho_inf is not None and with_l1 else 0.0
+            l1 = l1_to_steady(s, rho_inf) if rho_inf is not None else 0.0
             rows.append((s.time, E, D, F, R, L, l1))
     rows = np.array(rows)
     finite = np.isfinite(rows).all(axis=1)
@@ -257,13 +251,13 @@ RATE_QUANTITIES = {
 }
 
 
-def fit_rate(series, quantity, window, gamma_target=None, dim=None,
-             min_samples=20):
+def fit_rate(series, quantity, window, dim, gamma_target=None, min_samples=20):
     """Fit log(value) against log(1+t) and report gamma_hat = -slope.
 
     Exponential decay shows up as the late-half slope exceeding the early
     half; a ratio >= 1.2 flags the fit super-algebraic (the algebraic bound
-    is one-sided, so faster decay is consistent with it).
+    is one-sided, so faster decay is consistent with it).  ``dim`` is the
+    dimension the series was run in; it sets gamma_theory.
     """
     if quantity not in RATE_QUANTITIES:
         raise ConfigError(f"unknown rate quantity {quantity!r}", reason="invalid solver config")
@@ -290,12 +284,8 @@ def fit_rate(series, quantity, window, gamma_target=None, dim=None,
         g_tail, _ = _loglog_slope(t[~split], v[~split])
     super_alg = g_head > 0.0 and g_tail >= 1.2 * g_head and (g_tail - g_head) > 0.1
 
-    if dim is None and series.params.get("d") is not None:
-        dim = Dimension(series.params["d"])
-    gt = q = None
-    if dim is not None:
-        gt = gamma_theory(dim, gamma_target=gamma_target)
-        q = 2.0 * dim.d / (dim.d + 2.0) if dim.d > 2 else None
+    gt = gamma_theory(dim, gamma_target=gamma_target)
+    q = 2.0 * dim.d / (dim.d + 2.0) if dim.d > 2 else None
     return RateFit(gamma_hat=float(gamma_hat), window=(float(t_a), float(t_b)),
                    r_squared=float(r2), gamma_theory=gt, quantity=quantity,
                    n_samples=int(len(t)), super_algebraic=bool(super_alg),

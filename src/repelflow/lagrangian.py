@@ -120,7 +120,6 @@ class EvolutionConfig:
     t_end: float = 10.0
     rk_order: int = 4
     snapshot_stride: int = 10
-    density_cap: float | None = None       # default 10 max(sup Lap V, max rho_i), set by evolve
 
     def __post_init__(self):
         if not 0.0 < self.dt_min <= self.dt_init <= self.dt_max:
@@ -209,7 +208,7 @@ def _default_density_cap(state, V_eff):
                       float(np.max(state.densities)))
 
 
-def step(state, V_eff, config, dt_cap=None):
+def step(state, V_eff, config, density_cap, dt_cap):
     """Advance by one accepted ``_rk`` step of the radii and densities.
 
     A trial of dt (at most dt_cap) is rejected, and dt halved, for any of
@@ -220,17 +219,14 @@ def step(state, V_eff, config, dt_cap=None):
     masses never change.  Below dt_min a rejection raises StiffnessError.
     Ten consecutive accepts double dt up to dt_max.
     """
-    cap = config.density_cap
-    if cap is None:
-        cap = _default_density_cap(state, V_eff)
     dt = min(state.dt, config.dt_max)
     while True:
-        trial_dt = dt if dt_cap is None else min(dt, dt_cap)
+        trial_dt = min(dt, dt_cap)
         try:
             R1, p1 = _try_rk(state, V_eff, trial_dt, config.rk_order)
             if state.dim.d >= 2 and np.any(R1 <= 0.0):
                 raise _StepReject("radius crossed the origin")
-            if np.any(p1 <= 0.0) or np.any(p1 > cap):
+            if np.any(p1 <= 0.0) or np.any(p1 > density_cap):
                 raise _StepReject("density left (0, density_cap]")
             if np.any(np.diff(R1) <= 0.0):
                 raise _StepReject("quantile ordering violated")
@@ -256,18 +252,19 @@ def evolve(state, V_eff, config):
 
     ``V_eff`` is a RadialPotential, or a callable state -> RadialPotential
     for a self-consistent field, refreshed at the start of every step.
+    Each step takes at most the time left, under the density cap
+    ``_default_density_cap`` of the start state and its field.
     Returns (final_state, snapshots); snapshots include t=0 and t_end.
     """
     field = V_eff if callable(V_eff) and not hasattr(V_eff, "slope") else lambda s: V_eff
-    # the start state's field sets the default cap and drives the first step
+    # the start state's field sets the cap and drives the first step
     pending = [field(state)]
-    if config.density_cap is None:
-        config = replace(config, density_cap=_default_density_cap(state, pending[0]))
+    density_cap = _default_density_cap(state, pending[0])
     state = replace(state, dt=min(config.dt_init, config.dt_max))
 
     def advance(state, remaining):
         V = pending.pop() if pending else field(state)
-        return step(state, V, config, dt_cap=remaining)
+        return step(state, V, config, density_cap, remaining)
 
     return _march(state, config.t_end, config.snapshot_stride, advance)
 

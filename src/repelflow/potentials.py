@@ -3,7 +3,7 @@
 A confinement V enters the dynamics only through V', and through the radial
 Laplacian
 
-    Lap V(r) = V''(r) + (d - 1) V'(r) / r ,   Lap V(0) = d V''(0),
+    Lap V(r) = V''(r) + (d - 1) V'(r) / r ,   Lap V(0) = d V''(0) if V'(0) = 0,
 
 which is the steady density value inside the support.  A confinement is
 given by exact closures for V, V' and V''.
@@ -63,7 +63,8 @@ class RadialPotential:
         return self._second(np.asarray(r, dtype=float))
 
     def laplacian(self, r, dim):
-        """Radial Laplacian; at the origin the analytic limit d V''(0)."""
+        """Radial Laplacian; below r = 1e-12 max(1, r_scale) the limit d V''(0),
+        which holds only when V'(0) = 0 (else Lap V is unbounded at the origin)."""
         if dim.d == 1:
             return self.second(r)
         r = np.asarray(r, dtype=float)

@@ -125,8 +125,13 @@ def build_steady_state(V, dim, m0, n=8192):
     [-R, R] with 2n cells, the same spacing), so the sharp support edge
     never sits inside a quadrature cell; n = 8192 keeps the piecewise-linear
     mass of curved profiles within 1e-8 relative, and a grid too coarse
-    for that raises ResolutionError.
+    for that raises ResolutionError.  For d >= 2 a V'(0) other than 0 is
+    refused: Lap V = V'' + (d-1) V'/r is then unbounded at the origin.
     """
+    if dim.d >= 2 and V.slope(0.0) != 0.0:
+        raise PotentialError(f"V'(0) = {float(V.slope(0.0)):g} is not 0, so Lap V = V'' + "
+                             "(d-1) V'/r is unbounded at the origin and the steady "
+                             "density has no bounded profile", reason="invalid potential")
     R = solve_support_radius(V, dim, m0)
     if dim.d == 1:
         grid = np.linspace(-R, R, 2 * n + 1)

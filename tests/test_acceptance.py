@@ -51,8 +51,7 @@ def relax_runs():
         final, snaps = evolve(st, V, EvolutionConfig(dt_init=0.01, t_end=20.0,
                                                      snapshot_stride=1))
         wall = time.perf_counter() - t0
-        series = collect_series(snaps, V, steady=steady,
-                                with_l1=(d == 3 and kind == "ball"))
+        series = collect_series(snaps, V, steady=steady)
         out[d, kind] = SimpleNamespace(dim=dim, m0=m0, V=V, steady=steady,
                                        final=final, snaps=snaps, series=series,
                                        wall=wall)

@@ -420,6 +420,25 @@ t_end = 0.5
     assert not np.any(series.l1_dist)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_log_tail_steady_is_refused_for_its_slope_at_the_origin(tmp_path, capsys, d):
+    # log_tail has V'(0) = 1, so Lap V grows like (d-1)/r at the origin,
+    # though the origin limit d V''(0) reads -d
+    text = f"[problem]\ndimension = {d}\n\n[potential]\nkind = log-tail\n"
+    ini = _write_ini(tmp_path / "s.ini", f"[run]\nmode = steady\n\n{text}")
+    assert main(["steady", "--config", ini, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "error: V'(0) = 1 is not 0, so Lap V = V'' + (d-1) V'/r is unbounded " \
+           "at the origin" in err
+    assert "reason: invalid potential" in err
+    # a radial run goes on without its steady reference
+    ini = _write_ini(tmp_path / "r.ini", f"[run]\nmode = simulate_radial\n\n{text}\n"
+                     "[solver]\nn_quantiles = 32\nt_end = 0.1\n")
+    out = tmp_path / "r"
+    assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 0
+    assert "l1_to_steady" not in json.loads((out / "summary.json").read_text())["run"]
+
+
 @pytest.mark.parametrize("line", ["n = 0", "n = -3", "rk_order = 3", "safety = 0",
                                   "dt_max = 0", "dt_max = -0.1"])
 def test_bad_particle_settings_exit_2(tmp_path, capsys, line):

@@ -14,9 +14,8 @@ import pytest
 from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from repelflow import Dimension, uniform_ball, spherical_mean_convolve
 from repelflow._cubic import hermite, pchip, simpson
-from repelflow.errors import ConfigError, NumericsError
+from repelflow.errors import NumericsError
 
 
 def _same(a, b):
@@ -103,14 +102,9 @@ def test_simpson_matches_scipy_on_both_axes(n):
     assert _same(simpson(y, x=np.zeros(n)), scipy_simpson(y, x=np.zeros(n)))
 
 
-def test_simpson_and_convolution_refuse_even_counts():
+def test_simpson_refuses_even_counts():
     with pytest.raises(NumericsError):
         simpson(np.ones(4), x=np.arange(4.0))
-    dim = Dimension(3)
-    rho = uniform_ball(dim, 1.0, 1.0)
-    for n_s in (2, 1024):
-        with pytest.raises(ConfigError):
-            spherical_mean_convolve(np.exp, rho, dim, np.array([0.5]), n_s=n_s)
 
 
 _PROBE = """

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_imports_resolve(demo):
-    # no test runs the demos, so a removed name would break them silently
+    # test_fast_demos_run leaves 03 out, so a removed name would break it silently
     imports = [node for node in ast.walk(ast.parse(demo.read_text()))
                if isinstance(node, ast.ImportFrom)
                and (node.module or "").split(".")[0] == "repelflow"]
@@ -44,6 +47,21 @@ def test_demo_imports_resolve(demo):
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+
+
+# 03 evolves a 2000-particle cloud, about 20 s on two cores without numba:
+# too slow for this suite, so only its imports are checked above
+FAST_DEMOS = [demo for demo in DEMOS if not demo.name.startswith("03_")]
+
+
+@pytest.mark.parametrize("demo", FAST_DEMOS, ids=[p.name for p in FAST_DEMOS])
+def test_fast_demos_run(demo, tmp_path):
+    # a removed keyword or option breaks a demo at run time, not at import
+    src = Path(repelflow.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

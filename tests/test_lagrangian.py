@@ -65,7 +65,7 @@ def test_single_step_matches_exact_flow():
     rho0 = uniform_ball(d2, 2.0 / 2.25, 1.5)   # mass 2 pi, radius 1.5
     st = init_lagrangian(rho0, 16, d2, dt_init=0.05)
     cfg = EvolutionConfig(dt_init=0.05, dt_max=0.05, t_end=0.05, snapshot_stride=1)
-    out = step(st, quadratic(), cfg)
+    out = step(st, quadratic(), cfg, _default_density_cap(st, quadratic()), cfg.t_end)
     q = st.quantiles
     exact = np.sqrt(q / (2 * math.pi) + (st.radii ** 2 - q / (2 * math.pi))
                     * math.exp(-2 * out.time))
@@ -206,18 +206,17 @@ def _ladder_state(n=16):
 def test_ordering_violation_escalates_to_stiffness():
     # dt_min just below dt_init: the first ordering violation halves
     # 0.04 -> 0.02 < 0.03 and must escalate
-    cfg = EvolutionConfig(dt_init=0.04, dt_min=0.03, dt_max=0.05, t_end=0.04,
-                          density_cap=1e9)
+    cfg = EvolutionConfig(dt_init=0.04, dt_min=0.03, dt_max=0.05, t_end=0.04)
     with pytest.raises(StiffnessError, match="ordering"):
-        step(_ladder_state(), _colliding_field(), cfg)
+        step(_ladder_state(), _colliding_field(), cfg, 1e9, cfg.t_end)
 
 
 def test_a_crossing_step_is_halved_and_keeps_every_cell():
     # the same trap with a small dt_min: the step that interleaves the
     # ladder is retried at half dt until the order holds, with no cell lost
-    cfg = EvolutionConfig(dt_init=0.04, dt_max=0.05, t_end=0.04, density_cap=1e9)
+    cfg = EvolutionConfig(dt_init=0.04, dt_max=0.05, t_end=0.04)
     state = _ladder_state()
-    out = step(state, _colliding_field(), cfg)
+    out = step(state, _colliding_field(), cfg, 1e9, cfg.t_end)
     assert out.n == 16 and np.array_equal(out.cell_masses, state.cell_masses)
     assert np.all(np.diff(out.radii) > 0.0)
     assert out.time == out.dt < 0.04
@@ -306,8 +305,8 @@ def test_callable_field_is_refreshed():
 
 
 def test_a_callable_field_is_built_once_per_step():
-    # the start state's field sets the default density cap and drives the
-    # first step; the states are those of a fresh field before every step
+    # the start state's field sets the density cap and drives the first
+    # step; the states are those of a fresh field before every step
     d3 = Dimension(3)
     W = AttractionPotential.gaussian_bump(d3, 0.01)
     start = init_lagrangian(uniform_ball(d3, 1.0, 0.6), 64, d3)
@@ -320,12 +319,11 @@ def test_a_callable_field_is_built_once_per_step():
     cfg = EvolutionConfig(t_end=0.3, snapshot_stride=1)
     final, snaps = evolve(start, field, cfg)
     assert built == [s.time for s in snaps[:-1]]
-    fixed = replace(cfg, density_cap=_default_density_cap(
-        start, effective_attraction_potential(start, W)))
+    cap = _default_density_cap(start, effective_attraction_potential(start, W))
     state = replace(start, dt=cfg.dt_init)
     for snap in snaps[1:]:
-        state = step(state, effective_attraction_potential(state, W), fixed,
-                     dt_cap=cfg.t_end - state.time)
+        state = step(state, effective_attraction_potential(state, W), cfg, cap,
+                     cfg.t_end - state.time)
         assert np.array_equal(state.radii, snap.radii)
         assert np.array_equal(state.densities, snap.densities)
     assert state.time == final.time
@@ -358,7 +356,7 @@ def _radial_runs(draw):
 @settings(max_examples=100)
 @given(run=_radial_runs())
 @example(run=(_ladder_state(), _colliding_field(),
-              EvolutionConfig(dt_init=0.04, dt_max=0.05, t_end=0.04, density_cap=1e9)))
+              EvolutionConfig(dt_init=0.04, dt_max=0.05, t_end=0.04)))
 def test_evolve_keeps_mass_order_and_positive_densities(run):
     state, V, cfg = run
     _, snaps = evolve(state, V, cfg)
