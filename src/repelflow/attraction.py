@@ -17,10 +17,12 @@ density's radii s.  K of a smooth kernel is analytic, hence numerically low
 rank: ``_convolution``, one operator per kernel and density, reads it from a
 p x p Chebyshev-Lobatto grid whose half-node interpolant certifies it (w = 0
 at p = 17, with C = 0), and evaluates it at every (r, s) pair only when no
-grid up to p = 257 certifies.  The fixed point certifies its Lap w grid
-once, on [0, 2 R_bar] x [0, R_bar] with R_bar = omega_d^(-1/d) (1 - eps)^(-1/d)
-the closing estimate of ``check_smallness``: every iterate has mass m0 and
-density m0 + Lap w * rho >= m0 (1 - eps), so its radius is at most R_bar.
+grid up to p = 257 certifies.  The sizes tried nest, so each grid evaluates
+the kernel only on the nodes the grid before it lacks.  The fixed point
+certifies its Lap w grid once, on [0, 2 R_bar] x [0, R_bar] with
+R_bar = omega_d^(-1/d) (1 - eps)^(-1/d) the closing estimate of
+``check_smallness``: every iterate has mass m0 and density
+m0 + Lap w * rho >= m0 (1 - eps), so its radius is at most R_bar.
 A density beyond the kept box (eps >= 1, or a declared eps below
 sup |Lap w|) certifies a grid on its own box, which is kept from then on.
 The shell sums of ``effective_attraction_potential`` evaluate K pointwise
@@ -184,21 +186,35 @@ def _barycentric(nodes, t):
     return B / B.sum(axis=1, keepdims=True)
 
 
+def _fill(C, mean, x, y):
+    """C[i, j] = mean(x_i, y_j) for every row of x, block by block."""
+    for rows, block in _kernel_rows(mean, x, y):
+        C[rows] = block
+
+
 def _lowrank_kernel(f, dim, r_hi, s_hi):
     """Certified Chebyshev-Lobatto grid (x, y, C) of the kernel of f, or None.
 
     C holds the angular-rule mean(x_i, y_j) on p x p nodes over
     [0, r_hi] x [0, s_hi], for the first p of _LOBATTO_SIZES at which the
     interpolant on every other node reproduces C at all nodes to
-    _CERTIFY_TOL of max |C|.  None when no p certifies.
+    _CERTIFY_TOL of max |C|.  None when no p certifies.  The grids nest:
+    node 2k of p is node k of the previous size, bit for bit, so each grid
+    copies the one before it onto its even rows and columns and evaluates
+    the kernel only on the new nodes.
     """
     mean = _angular_mean((f,), dim)
+    C = None
     for p in _LOBATTO_SIZES:
         # a zero-length side holds one point, which any interval covers
         x, y = _lobatto(p, r_hi or 1.0), _lobatto(p, s_hi or 1.0)
-        C = np.empty((p, p))
-        for rows, block in _kernel_rows(mean, x, y):
-            C[rows] = block
+        coarse, C = C, np.empty((p, p))
+        if coarse is None:
+            _fill(C, mean, x, y)
+        else:
+            C[::2, ::2] = coarse
+            _fill(C[1::2], mean, x[1::2], y)
+            _fill(C[::2, 1::2], mean, x[::2], y[1::2])
         half = _barycentric(x[::2], x) @ C[::2, ::2] @ _barycentric(y[::2], y).T
         if np.max(np.abs(half - C)) <= _CERTIFY_TOL * np.max(np.abs(C)):
             return x, y, C

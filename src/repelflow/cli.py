@@ -499,9 +499,15 @@ def _rate_fits(cfg, series, dim, out, summary, suffix=""):
 def _run_simulate_radial(cfg, out, dim, V, starts):
     try:
         steady = build_steady_state(V, dim, cfg.m0, n=cfg.steady_n_grid)
-    except PotentialError:
-        # e.g. double-well: no unique reference profile; a coarse n_grid
+    except PotentialError as err:
+        # e.g. double-well: no unique reference profile, so the run goes on
+        # without one unless a rate quantity needs it; a coarse n_grid
         # raises ResolutionError, which fails the run
+        if cfg.rate_quantities:
+            raise PotentialError(
+                f"[rates] quantity {', '.join(cfg.rate_quantities)} is measured "
+                f"against the steady reference, which is refused: {err}",
+                reason=err.reason) from err
         steady = None
     evo = cfg.evolution()
     artifacts, summary = [], {"mode": "simulate_radial", "d": dim.d,

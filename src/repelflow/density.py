@@ -30,12 +30,18 @@ __all__ = [
 _EDGE_EPS = 1e-9
 
 
-def _cell_power_moments(grid, values, p):
-    """Exact per-cell integrals of (linear interpolant) * s^p, p >= 0 integer."""
+def _cell_coefficients(grid, values, p):
+    """Per-cell line a + b s of the interpolant, with the node powers
+    s^(p+1) and s^(p+2) that integrate it against s^p."""
     b = np.diff(values) / np.diff(grid)
     a = values[:-1] - b * grid[:-1]
-    return (a * np.diff(grid ** (p + 1)) / (p + 1)
-            + b * np.diff(grid ** (p + 2)) / (p + 2))
+    return a, b, grid ** (p + 1), grid ** (p + 2)
+
+
+def _cell_power_moments(grid, values, p):
+    """Exact per-cell integrals of (linear interpolant) * s^p, p >= 0 integer."""
+    a, b, g1, g2 = _cell_coefficients(grid, values, p)
+    return a * np.diff(g1) / (p + 1) + b * np.diff(g2) / (p + 2)
 
 
 def _cumulative_mass(grid, values, dim):
@@ -84,6 +90,7 @@ class RadialDensity:
         self.values = np.clip(values, 0.0, None)
         self.dim = dim
         self.support_radius = float(support_radius)
+        self._cells = None
         self._cum = None
         self._knots = None
 
@@ -136,18 +143,24 @@ class RadialDensity:
 
         Makes velocities of steady profiles vanish to the interpolation
         error of the profile itself, with no extra interpolation noise.
+        The per-cell coefficients are computed at the first query and kept,
+        so the queries of a bisection share them; a profile never queried
+        keeps none.
         """
         r = np.asarray(r, dtype=float)
-        g, v = self.grid, self.values
+        g = self.grid
         M = self.cumulative_mass()
-        j = np.clip(np.searchsorted(g, r, side="right") - 1, 0, len(g) - 2)
-        b = (v[j + 1] - v[j]) / (g[j + 1] - g[j])
-        a = v[j] - b * g[j]
-        rc = np.clip(r, g[0], g[-1])
         p = self._weight_power()
-        partial = (a * (rc ** (p + 1) - g[j] ** (p + 1)) / (p + 1)
-                   + b * (rc ** (p + 2) - g[j] ** (p + 2)) / (p + 2))
-        out = M[j] + self._prefactor() * np.clip(partial, 0.0, None)
+        if self._cells is None:
+            self._cells = _cell_coefficients(g, self.values, p)
+        a, b, g1, g2 = self._cells
+        # the cell of r, 0 .. n - 2, with the ends of the grid in the end cells;
+        # maximum and minimum clip as np.clip does, without its call overhead
+        j = np.searchsorted(g[1:-1], r, side="right")
+        rc = np.minimum(np.maximum(r, g[0]), g[-1])
+        partial = (a[j] * (rc ** (p + 1) - g1[j]) / (p + 1)
+                   + b[j] * (rc ** (p + 2) - g2[j]) / (p + 2))
+        out = M[j] + self._prefactor() * np.maximum(partial, 0.0)
         out = np.where(r <= g[0], 0.0, np.where(r >= g[-1], M[-1], out))
         return out if out.ndim else float(out)
 

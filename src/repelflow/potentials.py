@@ -41,13 +41,16 @@ __all__ = [
 class RadialPotential:
     """Confinement given by closures for V, V' and V''.
 
-    Closures must accept numpy arrays.
+    Closures must accept numpy arrays.  An optional exact
+    ``laplacian(r, d)`` closure replaces V'' + (d - 1) V'/r and its origin
+    limit in every d.
     """
 
-    def __init__(self, value, slope, second, r_scale=1.0, name=""):
+    def __init__(self, value, slope, second, r_scale=1.0, name="", laplacian=None):
         self._value = value
         self._slope = slope
         self._second = second
+        self._laplacian = laplacian
         self.r_scale = float(r_scale)
         self.name = name or "custom"
         # below this radius slope/r is replaced by its limit
@@ -63,8 +66,13 @@ class RadialPotential:
         return self._second(np.asarray(r, dtype=float))
 
     def laplacian(self, r, dim):
-        """Radial Laplacian; below r = 1e-12 max(1, r_scale) the limit d V''(0),
+        """Radial Laplacian: the exact closure if one was given, else
+        V'' + (d - 1) V'/r, with the limit d V''(0) below r = 1e-12 max(1, r_scale),
         which holds only when V'(0) = 0 (else Lap V is unbounded at the origin)."""
+        if self._laplacian is not None:
+            r = np.asarray(r, dtype=float)
+            out = self._laplacian(r, dim.d)
+            return float(out) if r.ndim == 0 else out
         if dim.d == 1:
             return self.second(r)
         r = np.asarray(r, dtype=float)
@@ -139,7 +147,9 @@ def table_potential(r, v, vp, vpp, name="table"):
 
     Hermite interpolation keeps the supplied derivatives exact at the
     knots.  The table must cover the radii the solver will visit; beyond
-    it the cubics extrapolate.
+    it the cubics extrapolate.  V is extended evenly and V' oddly to x < 0;
+    V'(0) is the table's own, so a nonzero one reaches the steady
+    solver's V'(0) refusal.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or len(r) < 4 or np.any(np.diff(r) <= 0):
@@ -152,9 +162,15 @@ def table_potential(r, v, vp, vpp, name="table"):
     val = hermite(r, v, vp)
     slo = hermite(r, vp, vpp)
     sec = pchip(r, vpp)
+
+    def slope(x):
+        # the odd extension, which keeps the table's V'(0)
+        out = slo(np.abs(x))
+        return np.where(x < 0.0, -out, out)
+
     return RadialPotential(
         lambda x: val(np.abs(x)),
-        slope=lambda x: np.sign(x) * slo(np.abs(x)),
+        slope=slope,
         second=lambda x: sec(np.abs(x)),
         r_scale=float(r[-1]),
         name=name,
@@ -185,7 +201,9 @@ class AttractionPotential:
         """w(r) = beta r^2 exp(-(r/width)^2) with sup |Lap w| = |epsilon|.
 
         The sup is attained at the origin where Lap w = 2 d beta, so
-        beta = sign * epsilon / (2 d).
+        beta = sign * epsilon / (2 d).  Its Laplacian is given in closed
+        form, beta e^(-u) (2 d - (8 + 2 d) u + 4 u^2) with u = (r/width)^2:
+        one exponential, and no division by r.
         """
         if sign not in (1, -1):
             raise ConfigError(f"bump sign must be 1 or -1, got {sign!r}",
@@ -200,7 +218,9 @@ class AttractionPotential:
         def near(f):
             # f is 0 beyond the reach, so clipping r there keeps every value
             # and keeps r^3 / s2 and u^2 from overflowing for narrow bumps
-            return lambda r: f(np.clip(np.asarray(r, dtype=float), -reach, reach))
+            def clipped(r, *args):
+                return f(np.clip(np.asarray(r, dtype=float), -reach, reach), *args)
+            return clipped
 
         @near
         def val(r):
@@ -215,8 +235,13 @@ class AttractionPotential:
             u = r * r / s2
             return beta * np.exp(-u) * (2.0 - 10.0 * u + 4.0 * u * u)
 
+        @near
+        def lap(r, d):
+            u = r * r / s2
+            return beta * np.exp(-u) * (2.0 * d - (8.0 + 2.0 * d) * u + 4.0 * u * u)
+
         w = RadialPotential(val, slope=slo, second=sec, r_scale=width,
-                            name=f"gaussian_bump(eps={sign * epsilon:g})")
+                            name=f"gaussian_bump(eps={sign * epsilon:g})", laplacian=lap)
         return cls(dim, perturbation=w, epsilon=abs(epsilon))
 
 

@@ -57,6 +57,9 @@ def bisect(below, lo, hi):
     of its result.  Each step moves one end to the midpoint until the
     midpoint rounds to an end, so lo and hi finish as adjacent floats; a
     bracket holding NaN stops at once.  Returns (lo, hi).
+
+    A scalar bracket whose predicate gives a scalar steps in Python floats:
+    the same midpoints, without the cost of 0-d array arithmetic.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     while True:
@@ -64,8 +67,23 @@ def bisect(below, lo, hi):
         if not np.any((lo < mid) & (mid < hi)):
             return lo, hi
         inside = below(mid)
+        if lo.ndim == hi.ndim == np.ndim(inside) == 0:
+            return _bisect_scalar(below, float(mid) if inside else float(lo),
+                                  float(hi) if inside else float(mid))
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
+
+
+def _bisect_scalar(below, lo, hi):
+    """``bisect`` on one bracket of Python floats; returns (lo, hi) as floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _mass_radii(V, dim, m0, targets):

@@ -133,6 +133,23 @@ def test_lowrank_convolution_matches_pointwise_kernel(d):
         assert abs(origin[0] - expect[0]) <= tol
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_nested_kernel_grid_is_the_grid_built_from_scratch(monkeypatch, d):
+    # the bump's Lap w and w certify at p = 65 after 17 and 33 fail; the grid
+    # that copies 33 onto its even nodes is the one built at 65 alone, bit for bit
+    dim = Dimension(d)
+    bump = AttractionPotential.gaussian_bump(dim, 0.01).perturbation
+    R_bar = check_smallness(0.01, dim).R_inf
+    for f in (lambda z: bump.laplacian(z, dim), bump.value):
+        x, y, C = _lowrank_kernel(f, dim, 2.0 * R_bar, R_bar)
+        assert C.shape == (65, 65)
+        with monkeypatch.context() as m:
+            m.setattr(attraction, "_LOBATTO_SIZES", (65,))
+            x0, y0, C0 = _lowrank_kernel(f, dim, 2.0 * R_bar, R_bar)
+        assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
+        assert C.tobytes() == C0.tobytes()
+
+
 def test_needle_takes_the_pointwise_path():
     # no grid up to 257 nodes certifies a needle, so every (r, s) pair runs
     # the pointwise kernel, with the values that path has always given

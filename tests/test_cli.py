@@ -420,6 +420,51 @@ t_end = 0.5
     assert not np.any(series.l1_dist)
 
 
+@pytest.mark.parametrize("potential, d, refusal", [
+    ("double-well", 1, "Lap V must be positive away from the origin"),
+    ("log-tail", 2, "V'(0) = 1 is not 0"),
+    ("log-tail", 3, "V'(0) = 1 is not 0"),
+])
+@pytest.mark.parametrize("quantities", ["energy_gap", "support_gap", "l1",
+                                        "energy_gap, l1"])
+def test_a_rate_quantity_without_a_steady_reference_exits_2(tmp_path, capsys, potential,
+                                                             d, refusal, quantities):
+    # every rate quantity is measured against the steady reference; without
+    # one, energy_gap fitted E itself and support_gap R, and l1 read 0
+    ini = _write_ini(tmp_path / "q.ini", f"""
+[run]
+mode = simulate_radial
+
+[problem]
+dimension = {d}
+m0 = 0.5
+
+[potential]
+kind = {potential}
+
+[rho0]
+{"kind = interval" if d == 1 else "kind = ball"}
+
+[solver]
+n_quantiles = 32
+t_end = 0.5
+
+[rates]
+quantity = {quantities}
+window_lo = 0.1
+window_hi = 0.4
+""")
+    out = tmp_path / "o"
+    assert main(["simulate_radial", "--config", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: [rates] quantity {quantities} is measured against the steady " \
+           f"reference, which is refused: {refusal}" in err
+    assert "reason: invalid potential" in err
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == \
+        ["config_used.ini"]
+    assert not list(out.glob("series*.csv"))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_log_tail_steady_is_refused_for_its_slope_at_the_origin(tmp_path, capsys, d):
     # log_tail has V'(0) = 1, so Lap V grows like (d-1)/r at the origin,
@@ -1154,6 +1199,28 @@ n_grid = 257
     assert k[0] == 1.0 and res[0] == 0.0
     assert radii[0] == pytest.approx(summary["R_inf"], rel=1e-12)
     _tables_read_back(out)
+
+
+def test_the_attraction_benchmark_checks_hold(tmp_path):
+    # the output checks of the benchmark's attraction_fixed_point workload:
+    # the recipe at n_grid 129 lands on the n_grid 1025 R_inf in as many
+    # iterations (exit 0 means verify_steady passed at 1e-6 m0 R_inf), and
+    # the w = 0 solve takes one iteration
+    cfg = recipe("attraction_perturbed")
+    cfg.attraction_n_grid = 129
+    ini = tmp_path / "a.ini"
+    config_to_ini(cfg, ini)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        assert main([cfg.mode, "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["iterations"] == 4
+    assert abs(summary["R_inf"] - 0.6199975248) <= 1e-8
+    dim = Dimension(cfg.dimension)
+    state, field = solve_attraction_steady(AttractionPotential(dim), dim, cfg.m0,
+                                           n_grid=129)
+    assert field.iteration == 1
+    assert verify_steady(state, field.V_tilde, tol=1e-6 * cfg.m0 * state.R_inf).passed
 
 
 _CLOUD_ROWS = "0,0,0.5,0,0.25\n0,1,-0.5,0,0.25\n0,2,0,0.5,0.25\n0,3,0,-0.5,0.25\n"

@@ -9,6 +9,7 @@ from repelflow import (Dimension, RadialDensity, uniform_ball, annulus,
                        line_interval,
                        newtonian_radial_potential, radial_energy, l1_distance,
                        quadratic)
+from repelflow.density import _cell_coefficients
 from repelflow.errors import ConfigError
 
 
@@ -35,6 +36,52 @@ def test_enclosed_mass_exact_for_flat_profiles():
     assert np.allclose(rho.enclosed_mass(r), expect, rtol=1e-13, atol=1e-13)
     # scalar in, scalar out
     assert np.isscalar(rho.enclosed_mass(0.5)) or np.ndim(rho.enclosed_mass(0.5)) == 0
+
+
+def _enclosed_mass_from_scratch(rho, r):
+    """Enclosed mass with every cell coefficient computed per query point."""
+    g, v = rho.grid, rho.values
+    M = rho.cumulative_mass()
+    j = np.clip(np.searchsorted(g, r, side="right") - 1, 0, len(g) - 2)
+    b = (v[j + 1] - v[j]) / (g[j + 1] - g[j])
+    a = v[j] - b * g[j]
+    rc = np.clip(r, g[0], g[-1])
+    p = rho.dim.d - 1
+    partial = (a * (rc ** (p + 1) - g[j] ** (p + 1)) / (p + 1)
+               + b * (rc ** (p + 2) - g[j] ** (p + 2)) / (p + 2))
+    pref = 1.0 if rho.dim.d == 1 else rho.dim.sphere_area
+    out = M[j] + pref * np.clip(partial, 0.0, None)
+    return np.where(r <= g[0], 0.0, np.where(r >= g[-1], M[-1], out))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_enclosed_mass_reads_the_kept_cells_bit_for_bit(d):
+    # array queries of the kept per-cell coefficients give the per-query
+    # formula's bits.  A single point may differ by the rounding of one
+    # power: a numpy scalar power need not round as the array loop does,
+    # and the cell integral subtracts powers that can far exceed it
+    dim = Dimension(d)
+    rng = np.random.default_rng(7 + d)
+    for _ in range(20):
+        n = int(rng.integers(2, 200))
+        lo = rng.uniform(-2.0, -0.5) if d == 1 else 0.0
+        grid = np.sort(np.concatenate([[lo], lo + np.cumsum(rng.exponential(0.1, n))]))
+        values = rng.uniform(0.0, 3.0, grid.size)
+        rho = RadialDensity(grid, values, dim, support_radius=grid[-1])
+        r = np.concatenate([grid, rng.uniform(grid[0] - 0.5, grid[-1] + 0.5, 300),
+                            [grid[0] - 1.0, grid[-1] + 1.0]])
+        assert rho.enclosed_mass(r).tobytes() == _enclosed_mass_from_scratch(rho, r).tobytes()
+        p, pref = d - 1, (1.0 if d == 1 else dim.sphere_area)
+        a, b, _, _ = _cell_coefficients(rho.grid, rho.values, p)
+        for x in r:
+            one = rho.enclosed_mass(x)
+            assert type(one) is float
+            j = min(max(np.searchsorted(grid, x, side="right") - 1, 0), grid.size - 2)
+            t = max(abs(x), abs(grid[j]))
+            power_ulp = np.finfo(float).eps * pref * (abs(a[j]) * t ** (p + 1)
+                                                      + abs(b[j]) * t ** (p + 2))
+            ref = _enclosed_mass_from_scratch(rho, np.asarray(x))
+            assert abs(one - ref) <= 2.0 * power_ulp
 
 
 def test_enclosed_mass_monotone_on_graded_grids():

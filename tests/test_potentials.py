@@ -116,6 +116,54 @@ def test_gaussian_bump_epsilon_and_slope_bound():
     assert Wm.perturbation.laplacian(0.0, d) == pytest.approx(-0.01, rel=1e-12)
 
 
+@pytest.mark.parametrize("width", [1.0, 0.3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gaussian_bump_laplacian_is_its_closed_form(d, width):
+    # beta e^(-u) (2d - (8 + 2d) u + 4u^2) against w'' + (d-1) w'/r, to 4 ulp
+    # of max |Lap w|; at the origin it is 2 d beta, with no division by r
+    dim = Dimension(d)
+    eps = 0.3
+    w = AttractionPotential.gaussian_bump(dim, eps, width=width).perturbation
+    r = np.linspace(0.0, 28.0 * width, 4097)[1:]
+    lap = w.laplacian(r, dim)
+    textbook = w.second(r) + (d - 1) * w.slope(r) / r
+    assert np.max(np.abs(lap - textbook)) <= 4.0 * np.spacing(np.max(np.abs(textbook)))
+    beta = eps / (2.0 * d)
+    assert w.laplacian(0.0, dim) == 2.0 * d * beta
+    assert type(w.laplacian(0.0, dim)) is float
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gaussian_bump_sup_of_lap_w_is_its_epsilon(d, sign):
+    # eps = sup |Lap w| as the paper defines it: on a dense grid over the
+    # bump's reach the max of |Lap w| is eps to 1 ulp, taken at r = 0
+    dim = Dimension(d)
+    for eps in (0.005, 0.01, 0.3):
+        W = AttractionPotential.gaussian_bump(dim, eps, sign=sign)
+        lap = W.perturbation.laplacian(np.linspace(0.0, 28.0, 200001), dim)
+        k = int(np.argmax(np.abs(lap)))
+        assert k == 0
+        assert lap[0] == 2.0 * d * (sign * eps / (2.0 * d))
+        assert abs(abs(lap[0]) - W.epsilon) <= np.spacing(eps)
+
+
+def test_a_tabulated_slope_keeps_its_value_at_the_origin():
+    # the odd extension of V' reads the table's V'(0), and is unchanged elsewhere
+    r = np.linspace(0.0, 30.0, 3001)
+    src = log_tail(1.0)
+    T = table_potential(r, src.value(r), src.slope(r), src.second(r))
+    assert T.slope(0.0) == 1.0
+    assert T.slope(-0.0) == 1.0
+    x = np.linspace(-3.0, 3.0, 1201)
+    x = x[x != 0.0]
+    folded = T._slope(np.abs(x))
+    assert np.array_equal(T.slope(x), np.sign(x) * folded)
+    even = table_potential(r, 0.5 * r * r, r, np.ones_like(r))
+    assert even.slope(0.0) == 0.0
+    assert np.array_equal(even.slope(-x), -even.slope(x))
+
+
 @pytest.mark.parametrize("kwargs", [{"sign": 2}, {"sign": 0}, {"width": 0.0},
                                     {"width": -1.0}, {"width": 1e-200}])
 def test_gaussian_bump_refuses_sign_and_width(kwargs):

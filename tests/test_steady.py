@@ -9,7 +9,9 @@ import pytest
 from repelflow import (Dimension, quadratic, quartic, log_tail, double_well,
                        annulus, build_steady_state, solve_support_radius,
                        radial_velocity, verify_steady, sample_radial,
-                       steady_quantile_state)
+                       steady_quantile_state, table_potential, check_smallness)
+from repelflow.attraction import _radius_from_laplacian, _smallness_sides
+from repelflow.density import RadialDensity
 from repelflow.steady import bisect
 from repelflow.errors import PotentialError, TailTooWeakError
 
@@ -48,6 +50,20 @@ def test_log_tail_radius_and_weak_tail():
     assert R == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(TailTooWeakError):
         solve_support_radius(log_tail(1.0), Dimension(2), 10.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_tabulated_log_tail_is_refused_for_its_slope_at_the_origin(d):
+    # the table's V'(0) = 1 reaches the V'(0) refusal, as the closure's does;
+    # read as 0 it was refused for a negative Lap V (d = 3) or a weak tail (d = 2)
+    r = np.linspace(0.0, 30.0, 3001)
+    V = log_tail(1.0)
+    T = table_potential(r, V.value(r), V.slope(r), V.second(r))
+    for potential in (V, T):
+        with pytest.raises(PotentialError) as err:
+            build_steady_state(potential, Dimension(d), 4.0 * math.pi)
+        assert str(err.value).startswith("V'(0) = 1 is not 0")
+        assert err.value.reason == "invalid potential"
 
 
 def test_nonconvex_confinement_rejected():
@@ -111,6 +127,52 @@ def test_bisect_stops_on_a_nan_bracket():
     lo, hi = bisect(lambda x: x < 1.0, np.array([0.0, np.nan]), 2.0)
     assert lo[0] < 1.0 <= hi[0] and np.nextafter(lo[0], np.inf) == hi[0]
     assert np.isnan(lo[1]) or np.isnan(hi[1])
+
+
+def _bisect_0d(below, lo, hi):
+    """The reference bisection: every step on 0-d arrays, one midpoint each."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return lo, hi
+        inside = below(mid)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_scalar_bisect_is_the_0d_loop_for_eps_star(d):
+    # check_smallness bisects a predicate of Python floats; the float steps
+    # take the midpoints of the 0-d loop, bit for bit
+    dim = Dimension(d)
+    c = dim.ball_volume ** (-1.0 / d)
+
+    def both_hold(eps):
+        l1, r1, l2, r2, _, _ = _smallness_sides(float(eps), dim, c)
+        return l1 < r1 and l2 < r2
+
+    lo, hi = bisect(both_hold, 0.0, 0.49)
+    ref = _bisect_0d(both_hold, 0.0, 0.49)
+    assert type(lo) is float and type(hi) is float
+    assert (lo, hi) == (float(ref[0]), float(ref[1]))
+    assert check_smallness(0.01, dim).eps_star == lo
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_scalar_bisect_is_the_0d_loop_for_radius_solves(d):
+    # the fixed point's radius solve on random Laplacian profiles
+    dim = Dimension(d)
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        grid = np.linspace(0.0, rng.uniform(0.5, 3.0), int(rng.integers(17, 300)))
+        lap = rng.uniform(0.5, 2.0) * (1.0 + 0.3 * np.sin(rng.uniform(1.0, 9.0) * grid))
+        profile = RadialDensity(grid, lap, dim, support_radius=grid[-1])
+        m0 = rng.uniform(0.2, 0.9) * profile.mass
+        lo, hi = _bisect_0d(lambda r: profile.enclosed_mass(r) < m0, 0.0, grid[-1])
+        assert _radius_from_laplacian(grid, lap, dim, m0) == float(0.5 * (lo + hi))
+        assert bisect(lambda r: profile.enclosed_mass(r) < m0, 0.0, grid[-1]) == \
+            (float(lo), float(hi))
 
 
 def test_support_radius_is_the_exact_root():
