@@ -17,10 +17,15 @@ radial code with minimal approximation error, not to scale.  One blocked
 pair sum serves velocities and energies.  Each block of rows builds the
 strip of distances to itself and the later particles only, so every
 unordered pair is visited once; its coefficient depends on r_ij alone and
-serves both orders.
+serves both orders.  The strip is the only strip-sized buffer: there is
+no mask.  The self pairs, the strip's diagonal, read 1.0 while the
+coefficients are computed and 0 after.  Coincident pairs (r_ij < 1e-14,
+no direction) drop out of both sums and are counted in a warning; only a
+block that holds one builds a mask for them.
 """
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,30 +119,36 @@ def sample_radial(density, N, rng, rho_ref):
 
 
 # rows of a strip per coef call: its temporaries then stay in cache, and
-# the strip stays the only strip-sized array, so freeing them does not
-# make glibc trim the heap and fault it back in on every call
+# the strip stays the only strip-sized array (there is no mask buffer:
+# the self pairs are the strip's diagonal, and only a block holding a
+# coincident pair builds a mask), so freeing them does not make glibc trim
+# the heap and fault it back in on every call
 _COEF_ROWS = 16
 
 
 def _chunk_size(n):
     # rows per strip: at most 4M distances, and at most 128 rows, so the
     # in-place coefficient passes stay in cache and the square blocks,
-    # whose pairs are visited in both orders, stay a small share
+    # whose pairs are visited in both orders and whose diagonals hold the
+    # self pairs, stay a small share
     return max(16, min(128, (1 << 22) // max(n, 1)))
 
 
 def _pair_sum(pos, coef, rhs):
     """Row sums sum_j c_ij rhs_j over all pairs, each unordered pair once.
 
-    Block a of rows builds the strip r_ij = |x_i - x_j| for j >= a only.
-    coef(r, apart), called on slices of _COEF_ROWS rows, overwrites them
-    in place with the symmetric pair coefficients c_ij wherever the mask
-    apart holds; the rest of the strip, self and coincident pairs
-    (r < 1e-14, no direction), is then set to 0.  The strip adds C rhs to
-    its own rows and, by symmetry, C^T rhs to the later rows; its leading
-    square block already holds both orders of its pairs.  Every strip and
-    mask is a view of one buffer each, allocated once per call, so the
-    heap does not shrink and regrow (and fault its pages back in) per block.
+    Block a of rows builds the strip r_ij = |x_i - x_j| for j >= a only,
+    and coef(r), called on slices of _COEF_ROWS rows, overwrites it in
+    place with the symmetric pair coefficients c_ij.  The self pairs, the
+    strip's diagonal (a strided view), read a harmless 1.0 while coef runs
+    and 0 after.  Coincident pairs (r < 1e-14, no direction) are rare: a
+    block whose smallest distance is below 1e-14 builds a mask of them,
+    runs coef under np.errstate and sets the masked coefficients to 0; a
+    NaN distance is never coincident.  The strip adds C rhs to its own
+    rows and, by symmetry, C^T rhs to the later rows; its leading square
+    block already holds both orders of its pairs.  Every strip is a view
+    of one buffer, allocated once per call, so the heap does not shrink
+    and regrow (and fault its pages back in) per block.
     Returns the sums and the number of coincident ordered pairs.
     """
     # only particle runs need scipy.spatial, which takes about 0.4 s to import
@@ -148,46 +159,63 @@ def _pair_sum(pos, coef, rhs):
     coincident = 0
     step = _chunk_size(n)
     strip = np.empty(step * n)
-    mask = np.empty(step * n, dtype=bool)
     for a in range(0, n, step):
         b = min(a + step, n)
         shape = (b - a, n - a)
         size = shape[0] * shape[1]
         r = cdist(pos[a:b], pos[a:], out=strip[:size].reshape(shape))
-        apart = np.greater_equal(r, 1e-14, out=mask[:size].reshape(shape))
-        # pairs beyond the square block count in both orders
-        near = r.size - np.count_nonzero(apart)
-        near_square = (b - a) ** 2 - np.count_nonzero(apart[:, :b - a])
-        coincident += 2 * near - near_square - (b - a)
-        for lo in range(0, b - a, _COEF_ROWS):
-            coef(r[lo:lo + _COEF_ROWS], apart[lo:lo + _COEF_ROWS])
-        r[~apart] = 0.0
+        diagonal = strip[:size:n - a + 1]
+        diagonal[:] = 1.0
+        # fmin skips NaN distances, and r < 1e-14 is False for them, so a
+        # NaN distance is never coincident
+        near = r < 1e-14 if np.fmin.reduce(r, axis=None) < 1e-14 else None
+        quiet = nullcontext()
+        if near is not None:
+            # pairs beyond the square block count in both orders
+            coincident += 2 * np.count_nonzero(near) - np.count_nonzero(near[:, :b - a])
+            quiet = np.errstate(divide="ignore", invalid="ignore")
+        with quiet:
+            for lo in range(0, b - a, _COEF_ROWS):
+                coef(r[lo:lo + _COEF_ROWS])
+        if near is not None:
+            r[near] = 0.0
+        diagonal[:] = 0.0
         out[a:b] += r @ rhs[a:]
         out[b:] += r[:, b - a:].T @ rhs[a:b]
     return out, coincident
 
 
-def velocity_field(cloud, V=None, W=None):
-    """Velocities of every particle under confinement (V) or attraction (W)."""
+def _check_one_field(V, W):
+    """Refuse anything but exactly one of V (confinement) and W (attraction)."""
     if (V is None) == (W is None):
         raise ConfigError("exactly one of V (confinement) or W (attraction) "
                           "must be given", reason="invalid solver config")
+
+
+def velocity_field(cloud, V=None, W=None):
+    """Velocities of every particle under confinement (V) or attraction (W)."""
+    _check_one_field(V, W)
     pos, w = cloud.positions, cloud.weights
     d, delta = cloud.dim.d, cloud.delta_reg
-    sigma_d = cloud.dim.sphere_area
+    inv_sigma = 1.0 / cloud.dim.sphere_area
     # the pairwise part of W beyond the telescoped r^2/(2d)
     pert = None if W is None else W.perturbation
 
-    def coef(r, apart):
-        # pair speed over r: regularized Newton repulsion, minus the
-        # perturbation's slope in attraction mode
+    def coef(r):
+        # pair speed over r: regularized Newton repulsion
+        # 1 / (sigma_d max(r, delta)^(d-1) r), minus the perturbation's
+        # slope over r in attraction mode; confinement takes four passes
         g = np.maximum(r, delta)
-        g **= d - 1
-        g *= sigma_d
-        np.reciprocal(g, out=g)
-        if pert is not None:
+        if d > 2:
+            # a power of 1 is no fast path in numpy: it costs a general pow
+            g **= d - 1
+        if pert is None:
+            g *= r
+            np.divide(inv_sigma, g, out=r)
+        else:
+            np.divide(inv_sigma, g, out=g)
             g -= pert.slope(r)
-        np.divide(g, r, out=r, where=apart)
+            np.divide(g, r, out=r)
 
     # u_i = sum_j c_ij w_j (x_i - x_j): both sums from one product with [w x, w]
     sums, coincident = _pair_sum(pos, coef, np.column_stack([w[:, None] * pos, w]))
@@ -209,15 +237,18 @@ def velocity_field(cloud, V=None, W=None):
 
 def advance(cloud, dt, V=None, W=None, rk_order=2, k1=None):
     """One ``_rk`` step of size dt of the positions, k1 their velocities if
-    known; weights untouched.  |x| > 1e6 raises DivergenceError."""
+    known; weights untouched.  A position that is not finite, or beyond
+    |x| = 1e6, raises DivergenceError."""
     _check_rk_order(rk_order)
 
     def f(pos):
         return velocity_field(replace(cloud, positions=pos), V=V, W=W)
 
     new_pos = _rk(f, cloud.positions, dt, rk_order, k1)
-    if np.max(np.abs(new_pos)) > 1e6:
-        raise DivergenceError(f"particle left |x| <= 1e6 at t={cloud.time:g}",
+    # NaN fails the comparison, so a non-finite position is refused too
+    if not np.all(np.abs(new_pos) <= 1e6):
+        raise DivergenceError(f"particle position not finite or beyond |x| = 1e6 "
+                              f"at t={cloud.time:g}",
                               reason="trajectory divergence")
     return replace(cloud, positions=new_pos, time=cloud.time + dt)
 
@@ -252,15 +283,13 @@ def run_particles(cloud, t_end, V=None, W=None, dt_max=0.05, safety=0.1,
 def discrete_energy(cloud, V=None, W=None):
     """Pairwise energy with the regularized kernel, skipping self and
     coincident pairs as velocity_field does."""
-    if (V is None) == (W is None):
-        raise ConfigError("exactly one of V (confinement) or W (attraction) "
-                          "must be given", reason="invalid solver config")
+    _check_one_field(V, W)
     pos, w = cloud.positions, cloud.weights
     d, delta = cloud.dim.d, cloud.delta_reg
     coeff = cloud.dim.newton_coeff if d >= 3 else 0.0
     pert = None if W is None else W.perturbation
 
-    def coef(r, apart):
+    def coef(r):
         # pair energy: regularized Newton kernel, plus the perturbation in
         # attraction mode
         extra = pert.value(r) if pert is not None else None

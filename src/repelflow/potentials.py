@@ -217,7 +217,7 @@ class AttractionPotential:
 
         def near(f):
             # f is 0 beyond the reach, so clipping r there keeps every value
-            # and keeps r^3 / s2 and u^2 from overflowing for narrow bumps
+            # and keeps r^2 / s2 and u^2 from overflowing for narrow bumps
             def clipped(r, *args):
                 return f(np.clip(np.asarray(r, dtype=float), -reach, reach), *args)
             return clipped
@@ -228,7 +228,9 @@ class AttractionPotential:
 
         @near
         def slo(r):
-            return beta * np.exp(-r * r / s2) * (2.0 * r - 2.0 * r ** 3 / s2)
+            # 2 beta r e^(-u) (1 - u): no general pow per pair
+            u = r * r / s2
+            return (2.0 * beta) * r * np.exp(-u) * (1.0 - u)
 
         @near
         def sec(r):

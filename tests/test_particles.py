@@ -1,11 +1,14 @@
 """Weighted particle method: forces, energies, sampling, persistence."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repelflow import (Dimension, uniform_ball, build_steady_state, quadratic,
+                       annulus, init_lagrangian, evolve, EvolutionConfig, shell_energy,
                        zero_potential, AttractionPotential, ParticleCloud,
                        sample_radial, velocity_field, run_particles,
                        discrete_energy, save_cloud, load_cloud,
@@ -52,7 +55,8 @@ def test_lone_particle_is_still():
 
 
 def _brute_force(cloud, V=None, W=None):
-    """Velocities and energy from a plain double loop over i != j."""
+    """Velocities and energy from a plain double loop over i != j, skipping
+    coincident pairs (r < 1e-14)."""
     pos, w, delta = cloud.positions, cloud.weights, cloud.delta_reg
     dim = cloud.dim
     n, d = pos.shape
@@ -64,6 +68,8 @@ def _brute_force(cloud, V=None, W=None):
                 continue
             z = pos[i] - pos[j]
             r = math.sqrt(z @ z)
+            if r < 1e-14:
+                continue
             rr = max(r, delta)
             # repulsion -grad N, clipped at delta; N = -log/(2 pi) or c_d r^(2-d)
             u[i] += w[j] * z / (dim.sphere_area * rr ** (d - 1) * r)
@@ -179,33 +185,72 @@ def test_sample_radial_quantile_radii():
         default_regularization(m, 500, d2, 2.0), rel=1e-12)
 
 
+def _only_resolution_warnings(record):
+    # pytest.warns records every warning, so a RuntimeWarning inside it
+    # would get round pyproject's error filter
+    assert [w.category for w in record] == [ResolutionWarning]
+
+
 def test_coincident_pair_warns():
     d = Dimension(2)
     pos = np.zeros((2, 2))
     cloud = ParticleCloud(positions=pos, weights=np.array([1.0, 1.0]),
                           delta_reg=1e-3, dim=d)
-    with pytest.warns(ResolutionWarning):
+    with pytest.warns(ResolutionWarning) as record:
         velocity_field(cloud, V=zero_potential())
+    _only_resolution_warnings(record)
 
 
-def test_coincident_pairs_counted_once(monkeypatch):
+def _coincident_cloud(dim):
     # duplicates inside one block of 16 (3, 5), across blocks (2, 30) and a
     # triple spanning two blocks (20, 21, 37): 1 + 1 + 3 unordered pairs
     rng = np.random.default_rng(4)
-    pos = rng.normal(size=(40, 3))
+    pos = rng.normal(size=(40, dim))
     pos[5] = pos[3]
     pos[30] = pos[2]
     pos[21] = pos[37] = pos[20]
-    cloud = ParticleCloud(positions=pos, weights=rng.uniform(0.5, 1.0, size=40),
-                          delta_reg=1e-2, dim=Dimension(3))
-    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs"):
+    return ParticleCloud(positions=pos, weights=rng.uniform(0.5, 1.0, size=40),
+                         delta_reg=1e-2, dim=Dimension(dim))
+
+
+def test_coincident_pairs_counted_once(monkeypatch):
+    cloud = _coincident_cloud(3)
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs") as record:
         u_one_block = velocity_field(cloud, V=zero_potential())
+    _only_resolution_warnings(record)
     monkeypatch.setattr(particles, "_chunk_size", lambda n: 16)
-    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs"):
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs") as record:
         u = velocity_field(cloud, V=zero_potential())
+    _only_resolution_warnings(record)
     # coincident pairs drop out of the sum, so the field stays finite
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u - u_one_block)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("rows", [None, 16])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mode", ["confinement", "attraction"])
+def test_coincident_pairs_drop_out_of_both_sums(monkeypatch, rows, dim, mode):
+    # velocities and energies, in one block and across blocks, equal the
+    # brute force over the pairs that are not coincident; the energy (the
+    # log kernel in d = 2) warns of nothing
+    if rows is not None:
+        monkeypatch.setattr(particles, "_chunk_size", lambda n: rows)
+    cloud = _coincident_cloud(dim)
+    fields = ({"V": quadratic(1.5)} if mode == "confinement"
+              else {"W": AttractionPotential.gaussian_bump(Dimension(dim), 0.01)})
+    u_ref, E_ref = _brute_force(cloud, **fields)
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs") as record:
+        u = velocity_field(cloud, **fields)
+    _only_resolution_warnings(record)
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        E = discrete_energy(cloud, **fields)
+    assert record == []
+    assert math.isfinite(E)
+    assert E == pytest.approx(E_ref, rel=1e-12)
 
 
 def test_sample_radial_needs_a_particle():
@@ -220,6 +265,32 @@ def test_divergence_guard():
                           weights=np.array([1.0, 1.0]), delta_reg=1e-3, dim=d)
     with pytest.raises(DivergenceError):
         advance(cloud, 0.01, V=quadratic())
+
+
+def test_a_nan_velocity_is_a_divergence():
+    # NaN positions pass a |x| > 1e6 test; they must neither run on to t_end
+    # nor be counted as coincident pairs on the way
+    d = Dimension(3)
+    cloud = ParticleCloud(positions=np.random.default_rng(2).normal(size=(20, 3)),
+                          weights=np.full(20, 0.05), delta_reg=1e-2, dim=d)
+    k1 = np.full((20, 3), np.nan)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as err:
+            advance(cloud, 0.01, V=quadratic(), k1=k1)
+    assert err.value.reason == "trajectory divergence"
+    assert record == []
+
+
+def test_a_nan_distance_is_not_coincident():
+    # one NaN particle beside the five coincident pairs: the count stays 5,
+    # and the coincident block still runs quietly
+    cloud = _coincident_cloud(3)
+    pos = cloud.positions.copy()
+    pos[0] = np.nan
+    with pytest.warns(ResolutionWarning, match=r"^5 coincident particle pairs") as record:
+        velocity_field(replace(cloud, positions=pos), V=quadratic())
+    _only_resolution_warnings(record)
 
 
 def test_cloud_roundtrip(tmp_path):
@@ -305,3 +376,33 @@ def test_a_perturbation_named_zero_still_acts():
     assert discrete_energy(cloud, W=named) == discrete_energy(cloud, W=W)
     assert not np.array_equal(velocity_field(cloud, W=W),
                               velocity_field(cloud, W=AttractionPotential(d)))
+
+
+def test_the_cloud_benchmark_checks_hold():
+    # the output checks of the benchmark's cloud_relax workload at its
+    # sizes: an N = 1000 confinement cloud keeps its energy within 1% of a
+    # 512-shell evolve of the same annulus at t = 0.1, 0.2 and 0.3, and an
+    # N = 500 bump-attraction cloud's energy does not increase
+    dim = Dimension(3)
+    rng = np.random.default_rng(0)
+    one_snapshot = 10 ** 9
+    V = quadratic()
+    rho0 = annulus(dim, 1.0, 1.0, 2.0).renormalized(dim.sphere_area)
+    cloud = sample_radial(rho0, 1000, rng, rho_ref=3.0)
+    shells = init_lagrangian(rho0, 512, dim, dt_init=0.01)
+    for t in (0.1, 0.2, 0.3):
+        shells, _ = evolve(shells, V, EvolutionConfig(dt_init=0.01, t_end=t,
+                                                      snapshot_stride=one_snapshot))
+        cloud, _ = run_particles(cloud, t, V=V, dt_max=0.05, safety=0.1,
+                                 rk_order=2, snapshot_stride=one_snapshot)
+        e_shell = shell_energy(shells, V)
+        assert abs(discrete_energy(cloud, V=V) - e_shell) <= 0.01 * abs(e_shell), t
+    W = AttractionPotential.gaussian_bump(dim, 0.01)
+    ball = uniform_ball(dim, 1.0, dim.ball_volume ** (-1.0 / 3.0))
+    cloud = sample_radial(ball.renormalized(1.0), 500, rng, rho_ref=1.0)
+    energies = [discrete_energy(cloud, W=W)]
+    for t in (0.5, 1.0):
+        cloud, _ = run_particles(cloud, t, W=W, dt_max=0.05, safety=0.1,
+                                 rk_order=2, snapshot_stride=one_snapshot)
+        energies.append(discrete_energy(cloud, W=W))
+    assert all(b <= a for a, b in zip(energies, energies[1:])), energies
