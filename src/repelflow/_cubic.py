@@ -11,18 +11,45 @@ from .errors import NumericsError
 
 
 def _checked(x, *cols):
+    """Float arrays of knots x and data with one row per knot, refused unless
+    finite with strictly increasing knots.  x is 1-D, or holds one column
+    of knots per column of 2-D data."""
     x = np.asarray(x, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in cols]
-    if x.ndim != 1 or x.size < 2:
-        raise NumericsError("interpolation needs a 1-D x with at least 2 knots")
-    if any(c.ndim == 0 or c.shape[0] != x.size or c.shape != cols[0].shape
+    if x.ndim not in (1, 2) or x.shape[0] < 2 or (x.ndim == 2 and x.shape != cols[0].shape):
+        raise NumericsError("interpolation needs x with at least 2 knots, one column "
+                            "per data column if 2-D")
+    if any(c.ndim == 0 or c.shape[0] != x.shape[0] or c.shape != cols[0].shape
            for c in cols):
         raise NumericsError("interpolation data must hold one row per knot")
     if not all(np.all(np.isfinite(a)) for a in (x, *cols)):
         raise NumericsError("interpolation data must be finite")
-    if np.any(np.diff(x) <= 0.0):
+    if np.any(np.diff(x, axis=0) <= 0.0):
         raise NumericsError("interpolation knots must be strictly increasing")
     return (x, *cols)
+
+
+def _widths(x, y):
+    """Knot spacings along axis 0, shaped to broadcast against y's rows."""
+    h = np.diff(x, axis=0)
+    return h if x.ndim == y.ndim else h.reshape((-1,) + (1,) * (y.ndim - 1))
+
+
+def _coefficients(x, y, dydx):
+    """(c0, c1, c2, c3) of each Hermite piece, one row per piece."""
+    dx = _widths(x, y)
+    slope = np.diff(y, axis=0) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    # scipy starts each sum at 0.0, which turns a -0.0 value into +0.0
+    return t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1] + 0.0
+
+
+def cubic_at(coefficients, s):
+    """c3 + c2 s + c1 s^2 + c0 s^3 of pieces (c0, c1, c2, c3) at offsets s
+    from their left knots, summed in that order."""
+    c0, c1, c2, c3 = coefficients
+    z2 = s * s
+    return c3 + c2 * s + c1 * z2 + c0 * (z2 * s)
 
 
 def hermite(x, y, dydx):
@@ -35,12 +62,7 @@ def hermite(x, y, dydx):
     reads NaN.
     """
     x, y, dydx = _checked(x, y, dydx)
-    dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    c0, c1, c2 = t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1]
-    # scipy starts each sum at 0.0, which turns a -0.0 value into +0.0
-    c3 = y[:-1] + 0.0
+    coefficients = _coefficients(x, y, dydx)
     inner = x[1:-1]
 
     def interpolant(xv):
@@ -50,9 +72,7 @@ def hermite(x, y, dydx):
         s = xv - x.take(i)
         if y.ndim > 1:
             s = s[..., None]
-        z2 = s * s
-        return np.asarray(c3.take(i, axis=0) + c2.take(i, axis=0) * s
-                          + c1.take(i, axis=0) * z2 + c0.take(i, axis=0) * (z2 * s))
+        return np.asarray(cubic_at([c.take(i, axis=0) for c in coefficients], s))
     return interpolant
 
 
@@ -64,20 +84,14 @@ def _pchip_end(h0, h1, m0, m1):
     return np.where(overshoot, 3.0 * m0, np.where(same, d, 0.0))
 
 
-def pchip(x, y):
-    """Monotone piecewise cubic interpolant (Fritsch-Carlson), a callable.
-
-    Interior slopes are the weighted harmonic mean of the adjacent secants,
-    0 where they change sign or vanish; the ends use the three-point rule.
-    Two knots give the straight line.
-    """
-    x, y = _checked(x, y)
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+def _pchip_slopes(x, y):
+    """Fritsch-Carlson knot slopes of checked data."""
+    h = _widths(x, y)
     m = np.diff(y, axis=0) / h
     dk = np.zeros_like(y)
-    if x.size == 2:
+    if x.shape[0] == 2:
         dk[:] = m
-        return hermite(x, y, dk)
+        return dk
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
@@ -87,7 +101,26 @@ def pchip(x, y):
         dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
     dk[0] = _pchip_end(h[0], h[1], m[0], m[1])
     dk[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    return hermite(x, y, dk)
+    return dk
+
+
+def pchip(x, y):
+    """Monotone piecewise cubic interpolant (Fritsch-Carlson), a callable.
+
+    Interior slopes are the weighted harmonic mean of the adjacent secants,
+    0 where they change sign or vanish; the ends use the three-point rule.
+    Two knots give the straight line.
+    """
+    x, y = _checked(x, y)
+    return hermite(x, y, _pchip_slopes(x, y))
+
+
+def pchip_pieces(x, y):
+    """(c0, c1, c2, c3) of the pieces of ``pchip`` through each column of
+    knots x and values y, both (n, k); row i is piece i of every column,
+    to be evaluated by ``cubic_at`` with the same arithmetic as ``pchip``."""
+    x, y = _checked(x, y)
+    return _coefficients(x, y, _pchip_slopes(x, y))
 
 
 def simpson(y, x, axis=-1):

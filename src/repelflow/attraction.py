@@ -25,8 +25,12 @@ R_bar = omega_d^(-1/d) (1 - eps)^(-1/d) the closing estimate of
 m0 + Lap w * rho >= m0 (1 - eps), so its radius is at most R_bar.
 A density beyond the kept box (eps >= 1, or a declared eps below
 sup |Lap w|) certifies a grid on its own box, which is kept from then on.
-The shell sums of ``effective_attraction_potential`` evaluate K pointwise
-(``_sphere_mean``).
+The shell sums of ``effective_attraction_potential`` read the same kind of
+grid for Lap w and for w, which each attraction kernel keeps per d under
+the same box rule (``_KeptBox``): [0, 2 R_bar] x [0, R_bar] when the first
+state fits in it, else that state's own box, certified again only for a
+state that reaches past the kept box.  A kernel that certifies at no p is
+summed pointwise (``_sphere_mean``).
 """
 
 import functools
@@ -75,6 +79,9 @@ _BOX_SLACK = 1e-12
 _BLOCK_ELEMENTS = 2 ** 15
 # Simpson points of a convolution's s-grid: 512 whole panels
 _S_POINTS = 1025
+# the refinement check's bound on a convolution's estimated Simpson error, as
+# a fraction of its largest |value| over the radii asked for
+_REFINE_TOL = 1e-6
 # knots of the radial grid that tabulates the shell flow's attraction field
 _FIELD_KNOTS = 48
 # fewest knots of the fixed-point grid: its field table of 2 n_grid - 1 radii needs 4
@@ -180,10 +187,13 @@ def _barycentric(nodes, t):
     w[[0, -1]] *= 0.5
     diff = t[:, None] - nodes
     hit = diff == 0.0
-    B = np.divide(w, diff, out=np.zeros_like(diff), where=~hit)
+    # in place: the rows with a hit are overwritten below
+    with np.errstate(divide="ignore"):
+        B = np.divide(w, diff, out=diff)
     on_node = hit.any(axis=1)
     B[on_node] = hit[on_node]
-    return B / B.sum(axis=1, keepdims=True)
+    B /= B.sum(axis=1, keepdims=True)
+    return B
 
 
 def _fill(C, mean, x, y):
@@ -219,6 +229,28 @@ def _lowrank_kernel(f, dim, r_hi, s_hi):
         if np.max(np.abs(half - C)) <= _CERTIFY_TOL * np.max(np.abs(C)):
             return x, y, C
     return None
+
+
+class _KeptBox:
+    """A kernel's grid (``_lowrank_kernel``) on a kept box [0, 2 a] x [0, a].
+
+    Called as a ``kernel_grid`` with the box [0, r_hi] x [0, s_hi] an
+    operator needs, it certifies a grid only when that box reaches past
+    the kept one by more than rounding, max(r_hi / 2, s_hi) > a; the new
+    side a is ``bound`` (an a-priori bound on every reach) when it holds
+    the reach, else the reach itself.  The kept grid is None when none
+    certifies on the kept box.
+    """
+
+    def __init__(self, bound):
+        self.bound, self.side, self.grid = bound, 0.0, None
+
+    def __call__(self, f, dim, r_hi, s_hi):
+        reach = max(0.5 * r_hi, s_hi)
+        if reach > self.side * (1.0 + _BOX_SLACK):
+            self.side = self.bound if reach <= self.bound < np.inf else reach
+            self.grid = _lowrank_kernel(f, dim, 2.0 * self.side, self.side)
+        return self.grid
 
 
 def _convolution(f, rho, dim, r_hi, refine_check=True, kernel_grid=None):
@@ -258,8 +290,11 @@ def _convolution(f, rho, dim, r_hi, refine_check=True, kernel_grid=None):
 
     def convolve(r):
         *coarse, out = integrals(np.atleast_1d(np.asarray(r, dtype=float)))
-        scale = np.maximum(np.abs(out), 1e-12 * max(1.0, float(np.max(np.abs(out)))))
-        if any(np.any(np.abs(out - c) > 1e-6 * scale) for c in coarse):
+        # composite Simpson errs like h^4, so halving h leaves 1/16 of the
+        # coarse error: the doubled grid's move is 15/16 of it
+        bound = _REFINE_TOL * float(np.max(np.abs(out), initial=0.0))
+        if any(16.0 / 15.0 * float(np.max(np.abs(out - c), initial=0.0)) > bound
+               for c in coarse):
             raise ResolutionError("spherical convolution did not converge under "
                                   "s-grid doubling", reason="insufficient resolution")
         return out
@@ -282,8 +317,11 @@ def spherical_mean_convolve(f, rho, dim, r):
     sigma_d B_r C simpson(weight B_s^T, s).  When no p up to 257 certifies
     (a kernel too narrow for the grid), the pointwise kernel runs at every
     (r, s) pair: in d = 3 the identity (G(r+s) - G(|r-s|)) / (2 r s),
-    G' = t f(t), elsewhere the angular rule.  Doubling the s-grid must move
-    the result by less than 1e-6 relative, else a resolution error is raised.
+    G' = t f(t), elsewhere the angular rule.  The result is the 2049-point
+    one; the 1025-point one estimates the Simpson error, 16/15 of their
+    difference by the h^4 law, which must stay below 1e-6 of the largest
+    |result| over r, else a resolution error is raised.  The check decides
+    pass or fail and changes no value.
     """
     return _convolution(f, rho, dim, float(np.max(r, initial=0.0)))(r)
 
@@ -450,15 +488,7 @@ def solve_attraction_steady(W, dim, m0, tol=1e-9, max_iter=60, n_grid=1025,
     def dw(r):
         return W.perturbation.laplacian(r, dim)
 
-    side, grid = 0.0, None      # the kept Lap w grid, on [0, 2 side] x [0, side]
-
-    def lap_w_grid(f, dim, r_hi, s_hi):
-        nonlocal side, grid
-        reach = max(0.5 * r_hi, s_hi)
-        if reach > side * (1.0 + _BOX_SLACK):
-            side = R_bar if reach <= R_bar < np.inf else reach
-            grid = _lowrank_kernel(f, dim, 2.0 * side, side)
-        return grid
+    lap_w_grid = _KeptBox(R_bar)
 
     R = dim.ball_volume ** (-1.0 / dim.d) * 1.0
     # w = 0 closed form: rho = m0 on the ball of unit volume scaled by mass
@@ -533,7 +563,12 @@ def effective_attraction_potential(state, W):
     The quadratic part is exact (m0 r^2/(2d) plus the second moment); the
     perturbation is summed over shells at the quantile radii and tabulated
     on a coarse grid of 48 radii over [0, 2 R_N], cheap enough to refresh
-    every accepted step.
+    every accepted step.  The shell sums of Lap w and of w each read a
+    certified kernel grid that W keeps for d: on [0, 2 R_bar] x [0, R_bar]
+    (``check_smallness``' R_inf, which bounds the steady radius) when the
+    first state fits in it, else on that state's own box, and certified
+    again only when a state reaches past the kept box (``_KeptBox``).  A
+    kernel without a grid sums the pointwise sphere mean.
     """
     dim = state.dim
     if dim.d < 2:
@@ -545,11 +580,21 @@ def effective_attraction_potential(state, W):
     grid = np.linspace(0.0, r_hi, _FIELD_KNOTS)
     second_moment = float(np.sum(m * R * R))
     pert = W.perturbation
-    # one kernel, so the d = 3 table of G is built once for both fields
-    mean = _sphere_mean((lambda z: pert.laplacian(z, dim), pert.value), dim,
-                        r_hi + float(R[-1]))
-    lap_shells, val_shells = mean(grid[:, None], R[None, :])
-    lap = m0 + lap_shells @ m
-    value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + val_shells @ m
+    kernels = (lambda z: pert.laplacian(z, dim), pert.value)
+    kept = W._shell_grids
+    if dim.d not in kept:
+        # the fixed point's a-priori radius bound: states relaxing to it stay inside
+        R_bar = check_smallness(W.epsilon, dim).R_inf
+        kept[dim.d] = (_KeptBox(R_bar), _KeptBox(R_bar))
+    kernel_grids = [box(f, dim, r_hi, float(R[-1])) for box, f in zip(kept[dim.d], kernels)]
+    pointwise = [f for f, kernel in zip(kernels, kernel_grids) if kernel is None]
+    # one pointwise call, so the d = 3 table of G is built once for both fields
+    shells = iter(_sphere_mean(pointwise, dim, r_hi + float(R[-1]))(grid[:, None], R[None, :]) @ m
+                  if pointwise else ())
+    sums = [next(shells) if kernel is None
+            else _barycentric(kernel[0], grid) @ (kernel[2] @ (_barycentric(kernel[1], R).T @ m))
+            for kernel in kernel_grids]
+    lap = m0 + sums[0]
+    value = (m0 * grid ** 2 + second_moment) / (2.0 * dim.d) + sums[1]
     slope, second = _field_tables(grid, lap, dim)
     return table_potential(grid, value, slope, second, name="attraction field")

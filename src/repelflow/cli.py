@@ -193,6 +193,12 @@ def build_attraction(cfg, dim):
                                              sign=cfg.bump_sign)
 
 
+# [particles] mode -> the field a run moves under, as runner arguments: a
+# confinement V or an attraction kernel W
+_FIELDS = {"confinement": lambda cfg, dim: {"V": _CONFINEMENTS[cfg.potential_kind](cfg)},
+           "attraction": lambda cfg, dim: {"W": build_attraction(cfg, dim)}}
+
+
 # [rho0] kind -> (profile constructor, the keys it takes after the value with
 # their defaults); a cloud is no profile, and only a particle run starts from one
 _PROFILES = {"ball": (uniform_ball, {"radius": 1.0}),
@@ -518,9 +524,14 @@ def _run_simulate_radial(cfg, out, dim, V, starts):
         finals.append(final)
         series = collect_series(snaps, V, steady=steady)
         series.to_csv(out / f"series{suffix}.csv")
-        _snapshots_csv(out / f"snapshots{suffix}.csv", ("t", "i", "m_i", "R_i", "rho_i"),
-                       [(np.full(s.n, s.time), np.arange(s.n, dtype=float),
-                         s.cell_masses, s.radii, s.densities) for s in snaps])
+        # each column joined straight from the states, with no per-state t
+        # and i arrays: the writer's transient arrays set a run's peak memory
+        sizes = [s.n for s in snaps]
+        write_table(out / f"snapshots{suffix}.csv", ("t", "i", "m_i", "R_i", "rho_i"),
+                    [np.repeat([s.time for s in snaps], sizes),
+                     np.concatenate([np.arange(n, dtype=float) for n in sizes]),
+                     *(np.concatenate([getattr(s, name) for s in snaps])
+                       for name in ("cell_masses", "radii", "densities"))])
         artifacts += [f"series{suffix}.csv", f"snapshots{suffix}.csv"]
         run_info = {"n_final": final.n, "support": float(series.support[-1]),
                     "energy": float(series.energy[-1])}
@@ -632,7 +643,7 @@ _RUNNERS = {"steady": _run_steady,
 MODES = tuple(_RUNNERS)
 
 CHOICES = {"mode": MODES, "potential_kind": tuple(_CONFINEMENTS),
-           "particle_mode": ("confinement", "attraction"),
+           "particle_mode": tuple(_FIELDS),
            "check": tuple(_CHECKS)}
 
 
@@ -671,11 +682,9 @@ def _read_inputs(cfg):
         return {"dim": dim, "src": src, "series": series}
     dim = Dimension(cfg.dimension)
     # every other mode runs under a confinement V or an attraction kernel W
-    if cfg.mode == "attract_steady" or (cfg.mode == "simulate_particles"
-                                        and cfg.particle_mode == "attraction"):
-        inputs = {"dim": dim, "W": build_attraction(cfg, dim)}
-    else:
-        inputs = {"dim": dim, "V": _CONFINEMENTS[cfg.potential_kind](cfg)}
+    field = {"attract_steady": "attraction",
+             "simulate_particles": cfg.particle_mode}.get(cfg.mode, "confinement")
+    inputs = {"dim": dim, **_FIELDS[field](cfg, dim)}
     if cfg.mode == "simulate_radial":
         if cfg.rate_quantities:
             _check_window((cfg.window_lo, cfg.window_hi), 0.0, cfg.t_end)

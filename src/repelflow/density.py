@@ -33,22 +33,33 @@ _EDGE_EPS = 1e-9
 def _cell_coefficients(grid, values, p):
     """Per-cell line a + b s of the interpolant, with the node powers
     s^(p+1) and s^(p+2) that integrate it against s^p."""
-    b = np.diff(values) / np.diff(grid)
-    a = values[:-1] - b * grid[:-1]
+    b = np.diff(values)
+    b /= np.diff(grid)
+    a = b * grid[..., :-1]
+    np.subtract(values[..., :-1], a, out=a)
     return a, b, grid ** (p + 1), grid ** (p + 2)
 
 
 def _cell_power_moments(grid, values, p):
     """Exact per-cell integrals of (linear interpolant) * s^p, p >= 0 integer."""
     a, b, g1, g2 = _cell_coefficients(grid, values, p)
-    return a * np.diff(g1) / (p + 1) + b * np.diff(g2) / (p + 2)
+    # a * diff(g1) / (p + 1) + b * diff(g2) / (p + 2), in place
+    cells, upper = np.diff(g1), np.diff(g2)
+    cells *= a
+    cells /= p + 1
+    upper *= b
+    upper /= p + 2
+    cells += upper
+    return cells
 
 
 def _cumulative_mass(grid, values, dim):
-    """Enclosed mass at the grid nodes (from the left end for d = 1)."""
+    """Enclosed mass at the grid nodes (from the left end for d = 1), along
+    the last axis of grid and values."""
     cells = _cell_power_moments(grid, values, dim.d - 1)
-    m = (1.0 if dim.d == 1 else dim.sphere_area) * np.concatenate([[0.0], np.cumsum(cells)])
-    return np.maximum.accumulate(np.clip(m, 0.0, None))
+    m = (1.0 if dim.d == 1 else dim.sphere_area) * np.concatenate(
+        [np.zeros(cells.shape[:-1] + (1,)), np.cumsum(cells, axis=-1)], axis=-1)
+    return np.maximum.accumulate(np.clip(m, 0.0, None), axis=-1)
 
 
 def _cell_log_moments(grid, values):
@@ -79,20 +90,13 @@ class RadialDensity:
         values = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
             raise ConfigError("density needs matching 1d grid/values", reason="invalid density")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ConfigError("density grid must increase strictly", reason="invalid density")
-        if dim.d >= 2 and grid[0] != 0.0:
-            raise ConfigError("radial grids start at r = 0", reason="invalid density")
-        if np.any(values < -1e-12) or not np.all(np.isfinite(values)):
-            raise ConfigError("density values must be finite and nonnegative",
-                              reason="invalid density")
+        _check_profiles(grid, values, dim)
         self.grid = grid
         self.values = np.clip(values, 0.0, None)
         self.dim = dim
         self.support_radius = float(support_radius)
         self._cells = None
         self._cum = None
-        self._knots = None
 
     def _weight_power(self):
         return self.dim.d - 1
@@ -111,9 +115,7 @@ class RadialDensity:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.grid, self.values, left=0.0, right=0.0)
-        if self.dim.d >= 2:
-            out = np.where(r > self.support_radius, 0.0, out)
+        out = _evaluate(self.grid, self.values, self.support_radius, self.dim.d, r)
         return out if out.ndim else float(out)
 
     def cumulative_mass(self):
@@ -126,17 +128,13 @@ class RadialDensity:
         """Distinct knots that l1_distance resolves this profile on.
 
         The grid, plus a triple around each place where the profile may jump
-        to zero (both grid ends and the support radius).  Kept after the
-        first call, so a series of distances to one profile sorts them once.
+        to zero (both grid ends and the support radius).
         """
-        if self._knots is None:
-            knots = [self.grid]
-            for edge in (self.grid[0], self.grid[-1], self.support_radius):
-                scale = max(abs(edge), 1.0)
-                knots.append(np.array([edge - _EDGE_EPS * scale, edge,
-                                       edge + _EDGE_EPS * scale]))
-            self._knots = _distinct(np.concatenate(knots))
-        return self._knots
+        return _l1_knots(self.grid, self.support_radius)
+
+    def _l1_side(self):
+        """This profile as ``l1_distance`` resolves it."""
+        return _L1Side(self.grid, self.values, self.support_radius, self.dim)
 
     def enclosed_mass(self, r):
         """Enclosed mass at arbitrary radii, exact for the interpolant.
@@ -247,25 +245,146 @@ def radial_energy(density, V):
 
 
 def l1_distance(a, b):
-    """int |a - b| over space, resolving both supports on a merged grid."""
-    if a.dim.d != b.dim.d:
+    """int |a - b| over space, resolving both supports on a merged grid.
+
+    The integrand |a - b| (times sigma_d r^(d-1) for d >= 2) is summed by
+    the trapezoid rule on the distinct knots of both profiles (each grid,
+    plus a triple around each place where the profile may jump to zero),
+    with every interval between them split at its midpoint.  Both profiles
+    are linear between knots, so a midpoint value is the mean of the end
+    values, except on an interval that touches a place where either
+    profile may jump to zero; there both are evaluated at the midpoint.
+    This is one row of ``_l1``, which collect_series runs on blocks of
+    snapshots.
+    """
+    return float(_l1([a._l1_side()], b._l1_side())[0])
+
+
+def _evaluate(grid, values, support, d, r):
+    """A profile's values at r: its linear interpolant, zero off the grid
+    and, for d >= 2, zero beyond the support radius."""
+    out = np.interp(r, grid, values, left=0.0, right=0.0)
+    if d >= 2 and support < grid[-1]:
+        out = np.where(r > support, 0.0, out)
+    return out
+
+
+def _check_profiles(grid, values, dim):
+    """Refuse profiles (the rows of 2-d grid and values) that RadialDensity refuses."""
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError("density grid must increase strictly", reason="invalid density")
+    if dim.d >= 2 and np.any(grid[..., 0] != 0.0):
+        raise ConfigError("radial grids start at r = 0", reason="invalid density")
+    if np.any(values < -1e-12) or not np.all(np.isfinite(values)):
+        raise ConfigError("density values must be finite and nonnegative",
+                          reason="invalid density")
+
+
+def _l1_knots(grid, support):
+    """The grid, plus a triple around each place where the profile may jump
+    to zero (both grid ends and the support radius), distinct and sorted."""
+    edges = np.array([grid[0], grid[-1], support])
+    scale = _EDGE_EPS * np.maximum(np.abs(edges), 1.0)
+    return _distinct(np.concatenate([grid, edges - scale, edges, edges + scale]))
+
+
+class _L1Side:
+    """One profile as ``_l1`` reads it.
+
+    It evaluates as RadialDensity does, and holds its distinct knots (those
+    >= 0 for d >= 2), its values there, and the points where it may jump to
+    zero.  ``pieces`` keeps the lines that evaluate it at any point merged
+    into its knots, for the reference of a series of distances.
+    """
+
+    def __init__(self, grid, values, support, dim):
+        self.grid, self.values, self.support, self.dim = grid, values, support, dim
+        knots = _l1_knots(grid, support)
+        if dim.d >= 2:
+            knots = knots[knots >= 0.0]
+        self.knots = knots
+        self.at_knots = self(knots)
+        self.edges = np.array([grid[0], grid[-1], support])
+        self._pieces = None
+
+    def __call__(self, r):
+        return _evaluate(self.grid, self.values, self.support, self.dim.d, r)
+
+    @property
+    def pieces(self):
+        """This profile as a line on each interval of its knots, for the
+        points of a merge inserted before knot i = 0 .. n: (x0, v0, slope)
+        with the value v0 + (r - x0) slope, zero outside the knots and
+        inside an interval where the profile jumps."""
+        if self._pieces is None:
+            x, v = self.knots, self.at_knots
+            slopes = np.diff(v) / np.diff(x)
+            # the profile is zero inside an interval that begins at a right
+            # jump (the grid's right end, and for d >= 2 the support radius)
+            # or ends at the left jump (the grid's left end)
+            k = x.searchsorted(self.edges)
+            hit = x.take(k, mode="clip") == self.edges
+            if self.dim.d == 1:
+                hit[2] = False
+            zero = np.zeros(x.size + 1, bool)
+            zero[[0, -1]] = True
+            zero[k[1:][hit[1:]] + 1] = True
+            zero[k[:1][hit[:1]]] = True
+            self._pieces = (np.concatenate(([x[0]], x)),
+                            np.where(zero, 0.0, np.concatenate(([0.0], v))),
+                            np.where(zero, 0.0, np.concatenate(([0.0], slopes, [0.0]))))
+        return self._pieces
+
+
+def _l1(rows, ref):
+    """int |a - b| (d >= 2: over space, with the weight sigma_d r^(d-1)) for
+    each _L1Side a of ``rows`` against the reference _L1Side b, an array.
+
+    Each row's knots are merged into b's with one searchsorted.  On each
+    interval (x0, x1) of the merged knots, with midpoint c, the integrand
+    y = |a - b| x^(d-1) is summed as (x1 - x0) / 4 (y(x0) + 2 y(c) + y(x1)),
+    the trapezoid rule split at c (``l1_distance``).  a - b at c is the mean
+    of its end values, except on the intervals that begin or end at a place
+    where a profile may jump (either side's ``edges``), where both profiles
+    are evaluated at c.
+    """
+    d = ref.dim.d
+    if any(a.dim.d != d for a in rows):
         raise ConfigError("densities live in different dimensions", reason="invalid density")
-    d = a.dim.d
-    merged = _distinct(np.concatenate([a._l1_knots(), b._l1_knots()]))
-    if d >= 2:
-        merged = merged[merged >= 0.0]
-    # interleave the sorted knots with their midpoints; a midpoint of two
-    # adjacent floats rounds onto a knot and is dropped
-    fine = np.empty(2 * len(merged) - 1)
-    fine[0::2] = merged
-    fine[1::2] = 0.5 * (merged[1:] + merged[:-1])
-    rising = np.diff(fine) > 0.0
-    if not rising.all():
-        fine = fine[np.concatenate(([True], rising))]
-    diff = np.abs(a(fine) - b(fine))
-    if d == 1:
-        return float(np.trapezoid(diff, fine))
-    return float(a.dim.sphere_area * np.trapezoid(diff * fine ** (d - 1), fine))
+    T, bT = ref.knots, ref.at_knots
+    below, base, slope = ref.pieces
+    p = d - 1
+    out = np.empty(len(rows))
+    for r, a in enumerate(rows):
+        pos = T.searchsorted(a.knots)
+        new = T.take(pos, mode="clip") != a.knots
+        q, pos = a.knots[new], pos[new]
+        # a's new knots, and b's there, go in before b's knot at pos
+        at = pos + np.arange(q.size)
+        old = np.ones(T.size + q.size, bool)
+        old[at] = False
+        x, diff = np.empty(old.size), np.empty(old.size)
+        x[old], x[at] = T, q
+        a_T = a(T)
+        a_T -= bT
+        diff[old] = a_T
+        diff[at] = a.at_knots[new] - (base.take(pos) + (q - below.take(pos)) * slope.take(pos))
+        c = x[:-1] + x[1:]
+        c *= 0.5
+        twice_mid = diff[:-1] + diff[1:]
+        edges = np.concatenate([a.edges, ref.edges])
+        k = x.searchsorted(edges)
+        k = k[x.take(k, mode="clip") == edges]
+        jumps = np.minimum(np.maximum(np.concatenate([k - 1, k]), 0), x.size - 2)
+        twice_mid[jumps] = 2.0 * (a(c[jumps]) - ref(c[jumps]))
+        y, y_mid = np.abs(diff, out=diff), np.abs(twice_mid, out=twice_mid)
+        if p:
+            y *= x ** p
+            y_mid *= c ** p
+        total = y[:-1] + y[1:]
+        total += y_mid
+        out[r] = np.dot(total, x[1:] - x[:-1]) / 4
+    return out if d == 1 else ref.dim.sphere_area * out
 
 
 def _distinct(x):

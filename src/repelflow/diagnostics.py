@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._table import read_table, write_table
-from .density import l1_distance as _l1_profiles
+from .density import _L1Side, _l1, l1_distance as _l1_profiles
 from .errors import ConfigError, NumericsError
-from .lagrangian import LagrangianState, reconstruct_density, rhs, steady_quantile_state, support_radius
+from .lagrangian import (LagrangianState, _profiles, _quantiles, _support_radii,
+                         _velocities, steady_quantile_state)
 
 __all__ = [
     "DiagnosticSeries",
@@ -44,33 +45,58 @@ def shell_energy(state, V):
 
     with M_<i and S_<i the sums of m_j and m_j R_j over j < i.
     """
-    R, m = state.radii, state.cell_masses
-    d = state.dim.d
-
-    def below(x):
-        return np.concatenate(([0.0], np.cumsum(x)[:-1]))
-
-    if d == 1:
-        interaction = -0.5 * float(m @ (R * below(m) - below(m * R)))
-    else:
-        if d == 2:
-            K = -np.log(R) / (2.0 * np.pi)
-        else:
-            K = state.dim.newton_coeff * R ** (2 - d)
-        interaction = float((m * K) @ (below(m) + 0.5 * m))
-    return interaction + float(np.sum(m * V.value(R)))
+    return float(_energies(_Rows([state]), V)[0])
 
 
 def dissipation(state, V_eff):
     """D = sum m_i u_i^2 >= 0, the instantaneous energy decay rate."""
-    u, _ = rhs(state, V_eff)
-    return float(np.sum(state.cell_masses * u * u))
+    return float(_dissipations(_Rows([state]), V_eff)[0])
 
 
 def discrepancy(state, V_eff):
     """F = 1/2 int (rho - Lap V)^2 rho dx, zero exactly on the steady profile."""
-    dev = state.densities - V_eff.laplacian(state.radii, state.dim)
-    return 0.5 * float(np.sum(state.cell_masses * dev * dev))
+    return float(_discrepancies(_Rows([state]), V_eff)[0])
+
+
+class _Rows:
+    """States of one N and one d as rows: radii R, densities p, cell masses m."""
+
+    def __init__(self, states):
+        self.dim, self.m0 = states[0].dim, states[0].m0
+        self.R = np.array([s.radii for s in states])
+        self.p = np.array([s.densities for s in states])
+        self.m = np.array([s.cell_masses for s in states])
+
+
+def _energies(rows, V):
+    """``shell_energy`` of each row; each pair sum is its state's dot product."""
+    R, m = rows.R, rows.m
+
+    def below(x):
+        return np.concatenate([np.zeros((len(x), 1)), np.cumsum(x, axis=1)[:, :-1]], axis=1)
+
+    if rows.dim.d == 1:
+        pairs = zip(m, R * below(m) - below(m * R))
+        interaction = np.array([-0.5 * float(u @ v) for u, v in pairs])
+    else:
+        if rows.dim.d == 2:
+            K = -np.log(R) / (2.0 * np.pi)
+        else:
+            K = rows.dim.newton_coeff * R ** (2 - rows.dim.d)
+        interaction = np.array([float(u @ v) for u, v in zip(m * K, below(m) + 0.5 * m)])
+    return interaction + np.sum(m * V.value(R), axis=1)
+
+
+def _dissipations(rows, V_eff):
+    """``dissipation`` of each row."""
+    u, _ = _velocities(rows.R, rows.p, _quantiles(rows.m), rows.dim, rows.m0, V_eff)
+    return np.sum(rows.m * u * u, axis=1)
+
+
+def _discrepancies(rows, V_eff):
+    """``discrepancy`` of each row."""
+    dev = rows.p - V_eff.laplacian(rows.R, rows.dim)
+    return 0.5 * np.sum(rows.m * dev * dev, axis=1)
 
 
 # weights of the discrepancy and support terms in the Lyapunov functional
@@ -78,19 +104,31 @@ EPS1, EPS2 = 0.1, 0.01
 
 
 def lyapunov(energy_gap, discrepancy_value, support_gap, dim):
-    """(E - E_inf) + EPS1 F + EPS2 (R - R_inf)_+^m with m = d + 1; inf past the float range."""
-    try:
-        tail = max(support_gap, 0.0) ** (dim.d + 1)
-    except OverflowError:
-        tail = np.inf
-    return float(energy_gap + EPS1 * discrepancy_value + EPS2 * tail)
+    """(E - E_inf) + EPS1 F + EPS2 (R - R_inf)_+^m with m = d + 1; inf past
+    the float range.  Takes numbers or arrays of them."""
+    with np.errstate(over="ignore"):
+        tail = np.maximum(support_gap, 0.0) ** (dim.d + 1)
+    out = energy_gap + EPS1 * discrepancy_value + EPS2 * tail
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def l1_to_steady(state, steady):
-    """L1 distance between a state (or profile) and a steady profile."""
-    profile = reconstruct_density(state) if isinstance(state, LagrangianState) else state
+    """L1 distance between a state (or profile) and a steady profile.
+
+    A state's distance is one row of the l1 column of ``collect_series``.
+    """
     target = steady.density if hasattr(steady, "density") else steady
-    return _l1_profiles(profile, target)
+    if isinstance(state, LagrangianState):
+        return float(_l1_column([state], target._l1_side())[0])
+    return _l1_profiles(state, target)
+
+
+def _l1_column(states, reference):
+    """L1 distance of each state's reconstruction to the reference _L1Side,
+    for states of one N and one d."""
+    dim = states[0].dim
+    rows = [_L1Side(grid, values, support, dim) for grid, values, support, _ in _profiles(states)]
+    return _l1(rows, reference)
 
 
 @dataclass
@@ -139,6 +177,24 @@ _COLUMN_FIELDS = [f for f in fields(DiagnosticSeries) if "column" in f.metadata]
 SERIES_COLUMNS = tuple(f.metadata["column"] for f in _COLUMN_FIELDS)
 
 
+# snapshots per row block of collect_series
+_BLOCK = 8
+
+
+def _blocks(snapshots):
+    """Runs of at most _BLOCK consecutive snapshots that share N, d and m0."""
+    start = 0
+    for k in range(1, len(snapshots) + 1):
+        if (k == len(snapshots) or k - start == _BLOCK
+                or _shape(snapshots[k]) != _shape(snapshots[start])):
+            yield snapshots[start:k]
+            start = k
+
+
+def _shape(state):
+    return state.n, state.dim, state.m0
+
+
 def collect_series(snapshots, V, steady=None):
     """Assemble a DiagnosticSeries from quantile snapshots.
 
@@ -147,6 +203,11 @@ def collect_series(snapshots, V, steady=None):
     the trajectory tail), so the gap is identically zero at convergence.
     With a steady state every snapshot gets its L1 distance to the steady
     profile; without one E_inf = R_inf = 0 and the l1 column is zero.
+
+    Every column is computed in row blocks of _BLOCK snapshots, each row
+    with the arithmetic of its snapshot alone.  For the l1 column a block's
+    profiles are reconstructed together, and each is merged into the
+    steady profile's knots, which are sorted and evaluated once per run.
     """
     if not snapshots:
         raise ConfigError("no snapshots to diagnose", reason="invalid series")
@@ -157,19 +218,21 @@ def collect_series(snapshots, V, steady=None):
         ref = steady_quantile_state(V, dim, m0, snapshots[0].n)
         E_inf = shell_energy(ref, V)
         R_inf = steady.R_inf
-        rho_inf = steady.density
+        reference = steady.density._l1_side()
     else:
-        E_inf, R_inf, rho_inf = 0.0, 0.0, None
-    rows = []
+        E_inf, R_inf = 0.0, 0.0
+    blocks = []
     # a value past the float range fails the run below, not with a warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in snapshots:
-            E, D, F = shell_energy(s, V), dissipation(s, V), discrepancy(s, V)
-            R = support_radius(s)
-            L = lyapunov(E - E_inf, F, R - R_inf, dim)
-            l1 = l1_to_steady(s, rho_inf) if rho_inf is not None else 0.0
-            rows.append((s.time, E, D, F, R, L, l1))
-    rows = np.array(rows)
+        for states in _blocks(snapshots):
+            rows = _Rows(states)
+            E, D, F = _energies(rows, V), _dissipations(rows, V), _discrepancies(rows, V)
+            R = _support_radii(rows.R, dim.d)
+            l1 = (_l1_column(states, reference) if steady is not None
+                  else np.zeros(len(states)))
+            blocks.append(np.column_stack([[s.time for s in states], E, D, F, R,
+                                           lyapunov(E - E_inf, F, R - R_inf, dim), l1]))
+    rows = np.concatenate(blocks)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise NumericsError(f"a diagnostic overflows at t={rows[~finite][0, 0]:g}",

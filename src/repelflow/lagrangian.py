@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._cubic import pchip
-from .density import RadialDensity, _cumulative_mass
+from ._cubic import cubic_at, pchip_pieces
+from .density import RadialDensity, _check_profiles, _cumulative_mass
 from .errors import ConfigError, ResolutionWarning, StiffnessError
 from .steady import _mass_radii, _radial_velocity
 
@@ -59,7 +59,7 @@ class LagrangianState:
     @property
     def quantiles(self):
         """Enclosed mass at each characteristic (cell midpoints)."""
-        return np.cumsum(self.cell_masses) - 0.5 * self.cell_masses
+        return _quantiles(self.cell_masses)
 
     def validate(self):
         if np.any(np.diff(self.radii) <= 0.0):
@@ -68,6 +68,11 @@ class LagrangianState:
         if np.any(self.densities <= 0.0):
             raise ConfigError("carried densities must be positive",
                               reason="invalid state")
+
+
+def _quantiles(m):
+    """Enclosed mass at the cell midpoints of each row of cell masses m."""
+    return np.cumsum(m, axis=-1) - 0.5 * m
 
 
 # fewest quantiles a state may carry: reconstruct_density needs them
@@ -271,12 +276,15 @@ def evolve(state, V_eff, config):
 
 def support_radius(state):
     """Support edge estimate: last radius plus half a local cell width."""
-    R = state.radii
-    if state.dim.d == 1:
-        lo = R[0] - 0.5 * (R[1] - R[0])
-        hi = R[-1] + 0.5 * (R[-1] - R[-2])
-        return float(max(abs(lo), abs(hi)))
-    return float(R[-1] + 0.5 * (R[-1] - R[-2]))
+    return float(_support_radii(state.radii[None], state.dim.d)[0])
+
+
+def _support_radii(R, d):
+    """``support_radius`` of each row of radii R."""
+    hi = R[:, -1] + 0.5 * (R[:, -1] - R[:, -2])
+    if d == 1:
+        return np.maximum(np.abs(R[:, 0] - 0.5 * (R[:, 1] - R[:, 0])), np.abs(hi))
+    return hi
 
 
 def _mass_matched_edges(state):
@@ -294,6 +302,94 @@ def _mass_matched_edges(state):
     return lo, hi
 
 
+# points 1/3 and 2/3 of the way along each interval of a reconstruction's knots
+_STRIDE = 3
+
+
+def _profiles(states):
+    """Estimator A's profile of each state, with estimator B's deviation.
+
+    For states of one N and one d: a list of (grid, values, support,
+    deviation), one per state, in order.  Each row's arithmetic is that of
+    ``reconstruct_density`` on its state alone; the edges are computed
+    state by state, in Python floats, and rows of one shape (a collapsed
+    inner edge or not, a head at the origin or not) are computed together.
+    """
+    n, dim = states[0].n, states[0].dim
+    if n < MIN_QUANTILES:
+        raise ConfigError(f"reconstruction needs at least {MIN_QUANTILES} quantiles",
+                          reason="invalid solver config")
+    d = dim.d
+    R = np.array([s.radii for s in states])
+    lo, hi = np.array([_mass_matched_edges(s) for s in states], dtype=float).T
+    p = np.array([s.densities for s in states])
+    nodes = np.column_stack([lo, R, hi])
+    vals = np.column_stack([p[:, 0], p, p[:, -1]])
+    # estimator B's interior midpoints are read off the same interpolant
+    mid = 0.5 * (R[:, 1:] + R[:, :-1])
+    est_a = np.empty_like(mid)
+    profiles = [None] * len(states)
+    collapsed = nodes[:, 0] >= nodes[:, 1]       # ball data
+    for cut in (0, 1):
+        rows = np.flatnonzero(collapsed == cut)
+        if not rows.size:
+            continue
+        x = nodes[rows, cut:]
+        pieces = [np.ascontiguousarray(c.T) for c in pchip_pieces(x.T, vals[rows, cut:].T)]
+        # points 1/3 and 2/3 of the way along each interval; they stay in
+        # order inside it, so interleaving them keeps the grid sorted
+        gaps = np.diff(x, axis=1)
+        fine = np.empty((rows.size, _STRIDE * gaps.shape[1] + 1))
+        fine_vals = np.empty_like(fine)
+        fine[:, ::_STRIDE] = x
+        for k in range(_STRIDE):
+            if k:
+                fine[:, k::_STRIDE] = x[:, :-1] + k / _STRIDE * gaps
+            # each point on the piece of its interval
+            fine_vals[:, k:-1:_STRIDE] = cubic_at(pieces, fine[:, k:-1:_STRIDE] - x[:, :-1])
+        # the last knot on the last piece
+        fine_vals[:, -1] = cubic_at([c[:, -1] for c in pieces], x[:, -1] - x[:, -2])
+        np.clip(fine_vals, 0.0, None, out=fine_vals)
+        # the midpoint of quantiles j and j + 1 is on piece j + 1 - cut
+        est_a[rows] = cubic_at([c[:, 1 - cut:n - cut] for c in pieces],
+                               mid[rows] - R[rows, :-1])
+        head = (fine[:, 0] > 0.0) if d >= 2 else np.zeros(rows.size, bool)
+        for lead in (False, True):
+            sub = np.flatnonzero(head == lead)
+            if not sub.size:
+                continue
+            grid, values = fine[sub], fine_vals[sub]
+            if lead:
+                zero = np.zeros((sub.size, 1))
+                grid = np.column_stack([zero, grid[:, 0] * (1 - 1e-9), grid])
+                values = np.column_stack([zero, zero, values])
+            elif d >= 2:
+                grid[:, 0] = 0.0
+            # the quantile masses are authoritative: pin the reconstructed mass to m0
+            mass = _cumulative_mass(grid, values, dim)[:, -1]
+            values = values * np.array([[states[r].m0 / float(m)]
+                                        for r, m in zip(rows[sub], mass)])
+            _check_profiles(grid, values, dim)
+            for r, g, v in zip(rows[sub], grid, values):
+                support = hi[r] if d >= 2 else max(abs(lo[r]), abs(hi[r]))
+                profiles[r] = [g, v, support]
+
+    cm = np.array([s.cell_masses for s in states])
+    dm = 0.5 * (cm[:, 1:] + cm[:, :-1])
+    dR = np.diff(R, axis=1)
+    if d == 1:
+        est_b = dm / dR
+    else:
+        est_b = dm / (dim.sphere_area * mid ** (d - 1) * dR)
+    deviations = np.max(np.abs(est_a - est_b) / np.maximum(est_b, 1e-300), axis=1)
+    for profile, deviation in zip(profiles, deviations):
+        profile.append(float(deviation))
+        if deviation > 0.20:
+            warnings.warn(f"density estimators disagree by {deviation:.1%}",
+                          ResolutionWarning)
+    return profiles
+
+
 def reconstruct_density(state):
     """Density profile from the carried values (estimator A).
 
@@ -303,55 +399,9 @@ def reconstruct_density(state):
     ResolutionWarning fires beyond 20%.  Edge cells are closed at radii
     that hold exactly the outstanding half-cell masses.
     """
-    if state.n < MIN_QUANTILES:
-        raise ConfigError(f"reconstruction needs at least {MIN_QUANTILES} quantiles",
-                          reason="invalid solver config")
-    d = state.dim.d
-    R, p = state.radii, state.densities
-    lo, hi = _mass_matched_edges(state)
-
-    nodes = np.concatenate([[lo], R, [hi]])
-    vals = np.concatenate([[p[0]], p, [p[-1]]])
-    if nodes[0] >= nodes[1]:          # collapsed inner edge (ball data)
-        nodes, vals = nodes[1:], vals[1:]
-    # points 1/3 and 2/3 of the way along each interval; they stay in
-    # order inside it, so interleaving them keeps the grid sorted
-    stride = 3
-    fine = np.empty(stride * (len(nodes) - 1) + 1)
-    fine[::stride] = nodes
-    gaps = np.diff(nodes)
-    for k in range(1, stride):
-        fine[k::stride] = nodes[:-1] + k / stride * gaps
-    # estimator B's interior midpoints are read off the same interpolant
-    mid = 0.5 * (R[1:] + R[:-1])
-    both = pchip(nodes, vals)(np.concatenate([fine, mid]))
-    fine_vals = np.clip(both[:len(fine)], 0.0, None)
-    est_a = both[len(fine):]
-
-    if d >= 2 and fine[0] > 0.0:
-        head = np.array([0.0, fine[0] * (1 - 1e-9)])
-        fine = np.concatenate([head, fine])
-        fine_vals = np.concatenate([[0.0, 0.0], fine_vals])
-    elif d >= 2:
-        fine[0] = 0.0
-    support = hi if d >= 2 else max(abs(lo), abs(hi))
-    # the quantile masses are authoritative: pin the reconstructed mass to m0
-    mass = float(_cumulative_mass(fine, fine_vals, state.dim)[-1])
-    out = RadialDensity(fine, fine_vals * (state.m0 / mass), state.dim,
-                        support_radius=support)
-
-    # estimator B on interior midpoints
-    dm = 0.5 * (state.cell_masses[1:] + state.cell_masses[:-1])
-    dR = np.diff(R)
-    if d == 1:
-        est_b = dm / dR
-    else:
-        est_b = dm / (state.dim.sphere_area * mid ** (d - 1) * dR)
-    deviation = float(np.max(np.abs(est_a - est_b) / np.maximum(est_b, 1e-300)))
+    (grid, values, support, deviation), = _profiles([state])
+    out = RadialDensity(grid, values, state.dim, support_radius=support)
     out.estimator_deviation = deviation
-    if deviation > 0.20:
-        warnings.warn(f"density estimators disagree by {deviation:.1%}",
-                      ResolutionWarning)
     return out
 
 

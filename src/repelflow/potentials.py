@@ -195,6 +195,9 @@ class AttractionPotential:
                               "epsilon = sup |Lap w|", reason="invalid potential")
         self.perturbation = perturbation
         self.epsilon = float(epsilon or 0.0)
+        # the kept (Lap w, w) kernel grids of the shell flow's field, per d,
+        # which attraction.effective_attraction_potential fills
+        self._shell_grids = {}
 
     @classmethod
     def gaussian_bump(cls, dim, epsilon, width=1.0, sign=1):
@@ -217,9 +220,11 @@ class AttractionPotential:
 
         def near(f):
             # f is 0 beyond the reach, so clipping r there keeps every value
-            # and keeps r^2 / s2 and u^2 from overflowing for narrow bumps
+            # and keeps r^2 / s2 and u^2 from overflowing for narrow bumps;
+            # the bare ufuncs skip np.clip's Python-level wrapper, and NaN
+            # stays NaN
             def clipped(r, *args):
-                return f(np.clip(np.asarray(r, dtype=float), -reach, reach), *args)
+                return f(np.minimum(np.maximum(np.asarray(r, dtype=float), -reach), reach), *args)
             return clipped
 
         @near

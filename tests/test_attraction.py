@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from repelflow import (Dimension, uniform_ball, AttractionPotential,
+from repelflow import (Dimension, EvolutionConfig, RadialDensity, annulus, evolve,
+                       uniform_ball, AttractionPotential,
                        spherical_mean_convolve, check_smallness,
                        solve_attraction_steady, effective_attraction_potential,
-                       init_lagrangian, verify_steady)
+                       init_lagrangian, table_potential, verify_steady)
 from repelflow import attraction
 from repelflow.attraction import (_barycentric, _convolution, _field_and_energy,
-                                  _lobatto, _lowrank_kernel, _sphere_mean)
+                                  _field_tables, _lobatto, _lowrank_kernel, _sphere_mean)
 from repelflow.errors import (ConfigError, NumericsError, ResolutionError,
                               ResolutionWarning)
 
@@ -89,6 +90,26 @@ def test_resolution_gate_trips_on_needle():
         rho = uniform_ball(dim, 1.0, 1.0, n=101)
         with pytest.raises(ResolutionError):
             spherical_mean_convolve(needle, rho, dim, np.array([0.5]))
+
+
+def test_refinement_check_trips_on_a_density_the_s_grid_cannot_resolve():
+    # a spike 1e-4 wide in the unit ball: the 1025-point s-grid (spacing
+    # 1/1024) steps over it and the 2049-point one lands in it, so even a
+    # smooth kernel's convolution moves by far more than 1e-6 of its size
+    d3 = Dimension(3)
+    bump = AttractionPotential.gaussian_bump(d3, 0.01).perturbation
+    s0, w = 0.43217, 1e-4
+    rho = RadialDensity(np.array([0.0, s0 - w, s0, s0 + w, 1.0]),
+                        np.array([1.0, 1.0, 2000.0, 1.0, 1.0]), d3, support_radius=1.0)
+    lap_w = lambda z: bump.laplacian(z, d3)
+    r = np.linspace(0.0, 2.0, 9)
+    with pytest.raises(ResolutionError):
+        spherical_mean_convolve(lap_w, rho, d3, r)
+    # without the check the spike's share is simply missed
+    missed = _convolution(lap_w, rho, d3, 2.0, refine_check=False)(r)
+    smooth = _convolution(lap_w, uniform_ball(d3, 1.0, 1.0, n=101), d3, 2.0,
+                          refine_check=False)(r)
+    assert np.allclose(missed, smooth, rtol=1e-12, atol=0.0)
 
 
 def test_barycentric_matrix_interpolates_polynomials():
@@ -428,6 +449,80 @@ def test_effective_field_matches_converged_field():
                        rtol=5e-3, atol=5e-4)
     lap = V_eff.laplacian(probe, d2)
     assert np.all(lap > m0 * 0.98) and np.all(lap < m0 * 1.02)
+
+
+def _pointwise_field(state, W):
+    """The shell flow's field with the sphere mean summed at every
+    (knot, shell) pair, as it was before the kept kernel grids."""
+    dim, m, R, m0 = state.dim, state.cell_masses, state.radii, state.m0
+    r_hi = 2.0 * float(R[-1]) + 1e-9
+    grid = np.linspace(0.0, r_hi, 48)
+    pert = W.perturbation
+    mean = _sphere_mean((lambda z: pert.laplacian(z, dim), pert.value), dim,
+                        r_hi + float(R[-1]))
+    lap_shells, val_shells = mean(grid[:, None], R[None, :])
+    value = ((m0 * grid ** 2 + float(np.sum(m * R * R))) / (2.0 * dim.d)
+             + val_shells @ m)
+    slope, second = _field_tables(grid, m0 + lap_shells @ m, dim)
+    return table_potential(grid, value, slope, second, name="attraction field")
+
+
+@pytest.mark.parametrize("d, start", [(2, "annulus"), (3, "annulus"), (2, "ball"), (3, "ball")])
+def test_shell_flow_on_kept_grids_matches_the_pointwise_sums(d, start):
+    # a contracting annulus and an expanding ball, each to near its steady state
+    dim = Dimension(d)
+    W = AttractionPotential.gaussian_bump(dim, 0.01)
+    rho0 = (annulus(dim, 1.0, 1.0, 2.0) if start == "annulus"
+            else uniform_ball(dim, 1.0, 0.4)).renormalized(1.0)
+    shells = init_lagrangian(rho0, 64, dim, dt_init=0.01)
+    cfg = EvolutionConfig(dt_init=0.01, t_end=2.0, snapshot_stride=1)
+    _, kept = evolve(shells, lambda s: effective_attraction_potential(s, W), cfg)
+    _, pointwise = evolve(shells, lambda s: _pointwise_field(s, W), cfg)
+    assert [s.time for s in kept] == [s.time for s in pointwise]
+    assert max(np.max(np.abs(a.radii - b.radii)) for a, b in zip(kept, pointwise)) <= 1e-13
+
+
+def test_a_shell_field_kernel_without_a_grid_sums_pointwise(monkeypatch):
+    # a bump 0.004 wide certifies no grid on the box of a unit ball, so both
+    # shell sums take the pointwise sphere mean, bit for bit as before
+    built = _count_grids(monkeypatch)
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.01, width=0.004)
+    state = init_lagrangian(uniform_ball(d3, 1.0, 1.0).renormalized(1.0), 32, d3)
+    kept, pointwise = effective_attraction_potential(state, W), _pointwise_field(state, W)
+    assert len(built) == 2
+    r = np.linspace(0.0, 2.0, 33)
+    assert np.array_equal(kept.value(r), pointwise.value(r))
+    assert np.array_equal(kept.slope(r), pointwise.slope(r))
+
+
+def test_shell_field_certifies_once_per_kernel_until_a_state_leaves_its_box(monkeypatch):
+    built = _count_grids(monkeypatch)
+    d3 = Dimension(3)
+    W = AttractionPotential.gaussian_bump(d3, 0.01)
+    R_bar = check_smallness(0.01, d3).R_inf
+    start = init_lagrangian(annulus(d3, 1.0, 1.0, 2.0).renormalized(1.0), 64, d3)
+    _, snaps = evolve(start, lambda s: effective_attraction_potential(s, W),
+                      EvolutionConfig(dt_init=0.01, t_end=1.0, snapshot_stride=1))
+    # the first state reaches past R_bar: its own box [0, 2 R_N] x [0, R_N]
+    # (with the field grid's 1e-9 margin) holds every contracting state after it
+    side = 0.5 * (2.0 * float(start.radii[-1]) + 1e-9)
+    assert len(snaps) > 10 and snaps[-1].radii[-1] < start.radii[-1]
+    assert [args[2:] for args in built] == [(2.0 * side, side)] * 2
+    # a state past that box certifies both kernels once more, on its own box
+    wide = init_lagrangian(annulus(d3, 1.0, 1.0, 2.5).renormalized(1.0), 64, d3)
+    effective_attraction_potential(wide, W)
+    effective_attraction_potential(start, W)
+    assert len(built) == 4 and built[2][3] == built[3][3] > side
+    # a state inside R_bar certifies on [0, 2 R_bar] x [0, R_bar], which an
+    # expanding flow towards the steady radius does not leave
+    built.clear()
+    W = AttractionPotential.gaussian_bump(d3, 0.01)
+    ball = init_lagrangian(uniform_ball(d3, 1.0, 0.4).renormalized(1.0), 64, d3)
+    _, snaps = evolve(ball, lambda s: effective_attraction_potential(s, W),
+                      EvolutionConfig(dt_init=0.01, t_end=3.0, snapshot_stride=1))
+    assert snaps[-1].radii[-1] > 1.4 * ball.radii[-1]
+    assert [args[2:] for args in built] == [(2.0 * R_bar, R_bar)] * 2
 
 
 def test_effective_potential_of_a_perturbation_named_zero():

@@ -1223,6 +1223,20 @@ def test_the_attraction_benchmark_checks_hold(tmp_path):
     assert verify_steady(state, field.V_tilde, tol=1e-6 * cfg.m0 * state.R_inf).passed
 
 
+@pytest.mark.parametrize("n_grid", [129, 257, 513, 1025, 2049])
+def test_a_converged_eps_03_field_passes_the_refinement_check(tmp_path, n_grid):
+    # Lap w * rho of the eps = 0.3 bump crosses zero; a check relative to
+    # |out| at each radius failed n_grid 1025 there, and the Simpson error
+    # estimate against max |out| passes every grid
+    cfg = recipe("attraction_perturbed")
+    cfg.epsilon, cfg.attraction_n_grid = 0.3, n_grid
+    ini = tmp_path / "a.ini"
+    config_to_ini(cfg, ini)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        assert main([cfg.mode, "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
+
+
 _CLOUD_ROWS = "0,0,0.5,0,0.25\n0,1,-0.5,0,0.25\n0,2,0,0.5,0.25\n0,3,0,-0.5,0.25\n"
 _SERIES_ROWS = "0,2,1,1,1,1,1\n1,1.5,1,1,1,1,1\n"
 _MALFORMED = {

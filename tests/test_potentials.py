@@ -190,6 +190,21 @@ def test_narrow_gaussian_bump_evaluates_without_overflow():
     assert values[3][0] == pytest.approx(0.01, rel=1e-12)
 
 
+def test_gaussian_bump_clips_radii_as_np_clip_did_and_keeps_nan():
+    # the closures clip r to 28 widths with bare ufuncs: the same values as
+    # np.clip, bit for bit, and a NaN radius still reads NaN
+    d = Dimension(3)
+    width = 0.5
+    w = AttractionPotential.gaussian_bump(d, 0.01, width=width).perturbation
+    r = np.array([-np.inf, -30.0, -0.3, 0.0, 0.7, 13.9, 14.1, 1e300, np.inf, np.nan])
+    near = np.clip(r, -28.0 * width, 28.0 * width)
+    beta = 0.01 / (2.0 * d.d)
+    expect = beta * near * near * np.exp(-near * near / (width * width))
+    assert np.array_equal(w.value(r), expect, equal_nan=True)
+    for values in (w.value(r), w.slope(r), w.second(r), w.laplacian(r, d)):
+        assert np.isnan(values[-1]) and np.all(np.isfinite(values[:-1]))
+
+
 @pytest.mark.parametrize("a", [0.0, 1e-200])
 def test_double_well_refuses_wells_at_the_origin(a):
     # a^2 = 0 divided by zero in every closure
